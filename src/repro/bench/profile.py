@@ -16,7 +16,7 @@ Usage::
 
 The numbers are wall-clock and machine-dependent — use them to rank
 costs, not as a regression bar (that is the throughput gate's job:
-``python -m repro.bench.regress --only-throughput``).
+``python -m repro.bench.regress --only throughput``).
 """
 
 from __future__ import annotations

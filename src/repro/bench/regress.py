@@ -1,121 +1,69 @@
-"""Performance-regression gates: E4 critical path, autoscale, chaos.
+"""Behavioral regression gates, run from one registry.
 
-**E4 gate** — runs the pinned-seed E4 model-serving pipeline (PCSI
-co-located, seed 41, traced), extracts the per-invocation critical
-paths, folds the ``merged_by_name`` totals into *layers* (cold start,
-network, quorum, storage, compute, control), and compares each layer's
-total seconds against a checked-in baseline (``benchmarks/baselines/
-e4_critical_path.json``) with per-layer tolerances.
+Each gate replays a pinned, seeded workload, folds the run into a JSON
+doc, and compares it against a checked-in baseline under
+``benchmarks/baselines/``. Pinned fields must match exactly, and each
+gate's win conditions must hold on every run. The simulation is
+deterministic, so drift beyond tolerance is a real behavior change (a
+new network hop on the hot path, an extra quorum round, a changed
+control decision), not noise. :data:`GATES` lists the gates in run
+order; CI runs one matrix arm per gate.
 
-**Autoscale gate** — replays the pinned burst schedule through the
-deterministic controller harness under ``FixedPolicy`` and
-``QueueDepthPolicy`` and pins (``benchmarks/baselines/
-autoscale_burst.json``):
-
-* the ``FixedPolicy`` arm's exact cold-start / warm-hit / latency
-  outcome (it must stay byte-identical to the pre-controller system),
-* the ``QueueDepthPolicy`` arm's exact cold-start count, and
-* the controller *win*: cold starts reduced by at least
-  ``min_reduction`` (30%) with the pool still scaled to zero at the
-  end — so a change that quietly weakens the control loop fails CI
-  the same way a slow hot path does.
-
-**Chaos gate** — runs the pinned short E21 chaos comparison
-(``e21_chaos.SHORT``): the naive and hardened arms under the identical
-seeded fault schedule plus the gray-failure hedging mini-run. Pins
-exact integer outcome counts per arm
-(``benchmarks/baselines/chaos_goodput.json``) and enforces the win
-conditions — hardened goodput strictly above naive, no hardened client
-blocked past its deadline, hedging cutting the gray p99, and the whole
-run replaying outcome-identically from its seed. CI runs this as the
-``chaos-gate`` job.
-
-**Attribution gate** — replays the pinned E22 drift comparison
-(``e22_attribution``): static vs observation-fed impl choice plus the
-two forced-impl oracle arms under an NPU gray failure. Pins every
-arm's exact decision and latency sequences as digests
-(``benchmarks/baselines/attribution_drift.json``) and enforces the win
-conditions — the observed arm closes at least ``min_gap_closed`` of
-the static-to-oracle post-drift gap, the static arm stays stuck on the
-drifted NPU, and both adaptive arms pick the NPU while it is healthy.
-CI runs this as the ``attribution-gate`` job.
-
-**Throughput gate** — times the pinned hot-loop workload
-(``repro.bench.throughput``) on the live simulator/tracer/metrics
-stack and on the frozen pre-refactor snapshot
-(``repro.bench._reference``) back to back in one process, and requires
-(``benchmarks/baselines/throughput.json``):
-
-* a machine-relative speedup of at least ``min_speedup`` (5x) in
-  events/sec over the pre-refactor stack — absolute numbers never
-  enter the comparison, so the bar holds on any runner;
-* byte-identical hot-loop fingerprints from both stacks (the frozen
-  snapshot is a behavioral oracle: the fast path may only change
-  speed, never event order, span tallies, or counter values); and
-* ``invoke_many`` outcomes byte-identical to a serial ``invoke`` loop.
-
-CI runs this as the ``throughput`` arm of the gate matrix.
-
-**Overload gate** — replays the pinned short E24 overload sweep
-(``e24_overload.SHORT``): open-loop equal-weight tenants from 0.5x to
-4x capacity through the unprotected scheduler and through the
-admission gateway, plus the hog mini-run, the 1000-tenant scale
-smoke, and the ``NoAdmission`` byte-identity check. Pins exact
-offered/ok/shed/throttled/missed counts and per-tenant completion
-digests per sweep point (``benchmarks/baselines/
-overload_goodput.json``) and enforces the win conditions — the
-gateway retains >= 80% of its peak goodput at 4x while the
-unprotected arm collapses below 50%, Jain fairness >= 0.9 among
-equal tenants, polite tenants protected from the hog, and the
-pass-through front door byte-identical to the seed scheduler path.
-CI runs this as the ``overload`` arm of the gate matrix.
-
-**Recovery gate** — replays the pinned short E25 chaos-storm MTTR run
-(``e25_recovery.SHORT``): an identical seeded storm of crashes,
-crash/rejoin churn, gray slowdowns, and a partition over a two-stream
-workload, once with the self-healing health plane attached and once
-with ``health=None``. Pins exact per-arm outcome tallies,
-orphaned/recovered/deduped counts, ejection and detection counts,
-per-crash detection latencies, and per-arm outcome fingerprints
-(``benchmarks/baselines/recovery_mttr.json``), and enforces the win
-conditions — the detection arm recovers >= 95% of orphaned in-flight
-invokes and holds >= 80% of its pre-fault goodput through the storm
-while the detection-off arm falls below that bar, with every detected
-crash confirmed within 1.5 s. CI runs this as the ``recovery`` arm of
-the gate matrix.
-
-**Tail gate** — replays the pinned E26 tail-pipeline comparison
-(``e26_tail``): the mean- vs p99-steered optimizer arms on the
-bimodal fat-tail trap plus the fixed- vs adaptive-hedge mini-runs.
-Pins every arm's exact decision and latency sequences as digests
-(``benchmarks/baselines/tail_drift.json``) and enforces the win
-conditions — the p99-steered arm flips to the tight-tail impl while
-the mean-steered arm stays stuck, adaptive hedging beats the
-mis-tuned fixed delay with its duplicate-launch fraction bounded,
-and the sketch-vs-exact quantile differential stays within
-``MAX_SKETCH_REL_ERR`` on every latency stream. CI runs this as the
-``tail`` arm of the gate matrix.
-
-The simulation is deterministic, so any drift beyond tolerance is a
-real behavior change — a new network hop on the hot path, an extra
-quorum round, a changed control decision — not noise. CI runs this
-as the ``perf-gate`` job and fails the build on violations.
+===============  ======================  ==============================
+gate             baseline                pins / enforces
+===============  ======================  ==============================
+``e4``           e4_critical_path.json   E4 critical-path layer totals
+                                         (seed 41, traced) within
+                                         per-layer tolerances
+``autoscale``    autoscale_burst.json    burst replay, fixed vs
+                                         queue-depth policy: exact
+                                         counts, >= 30% fewer cold
+                                         starts, pools back at zero
+``chaos``        chaos_goodput.json      E21 naive vs hardened: exact
+                                         counts and outcome digests,
+                                         hardened wins, no deadline
+                                         overrun, hedging cuts the
+                                         gray p99, replay identical
+``attribution``  attribution_drift.json  E22 drift: per-arm decision
+                                         and latency digests, observed
+                                         arm closes the oracle gap,
+                                         static arm stays on the
+                                         drifted NPU
+``throughput``   throughput.json         hot loop >= 5x the frozen
+                                         pre-refactor stack (machine-
+                                         relative), fingerprints equal
+                                         across stacks, batched
+                                         ``invoke_many`` == serial
+``overload``     overload_goodput.json   E24 sweep: exact per-point
+                                         counts and digests, gateway
+                                         keeps >= 80% of peak at 4x
+                                         while unprotected collapses,
+                                         Jain >= 0.9, hog isolation,
+                                         pass-through identical
+``recovery``     recovery_mttr.json      E25 chaos storm: exact
+                                         tallies, >= 95% of orphans
+                                         recovered, goodput held with
+                                         the health plane and lost
+                                         without it, detection <= 1.5 s
+``tail``         tail_drift.json         E26: p99 steering flips where
+                                         mean steering stays stuck,
+                                         adaptive hedging beats the
+                                         fixed delay within its launch
+                                         bound, sketch error bounded
+===============  ======================  ==============================
 
 Usage::
 
-    python -m repro.bench.regress                 # all gates, exit 0/1
-    python -m repro.bench.regress --update        # rewrite baselines
-    python -m repro.bench.regress --out cp.json --metrics-out m.json
-    python -m repro.bench.regress --skip-autoscale --skip-chaos
-    python -m repro.bench.regress --only-chaos    # chaos gate alone
-    python -m repro.bench.regress --only-attribution  # E22 gate alone
-    python -m repro.bench.regress --only-throughput   # hot-loop gate
-    python -m repro.bench.regress --only-overload     # front-door gate
-    python -m repro.bench.regress --only-recovery     # MTTR gate
-    python -m repro.bench.regress --only-tail         # E26 tail gate
+    python -m repro.bench.regress                   # every gate
+    python -m repro.bench.regress --only chaos --only tail
+    python -m repro.bench.regress --out-dir artifacts   # <name>.json each
+    python -m repro.bench.regress --update          # rewrite baselines
 
-Updating the baselines is a deliberate act: run with ``--update``,
-commit the JSON, and explain the perf delta in the commit message.
+Exit status: 0 pass, 1 violation, 2 usage error or missing baseline
+(checked for every selected gate before any gate runs). With
+``--update`` the run rewrites the selected baselines and still enforces
+the win conditions. Updating a baseline is a deliberate act: commit the
+JSON and explain the delta in the commit message.
 """
 
 from __future__ import annotations
@@ -124,15 +72,64 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..cluster.resources import MB
 from ..core.system import PCSICloud
 from ..faas.harness import ControllerHarness, HarnessResult, burst_phases
-from ..sim.trace import ProbabilisticSampler
 from ..workloads.ml_serving import ModelServingApp, ModelServingConfig
 from .critical_path import invocation_critical_paths, merged_by_name
+
+#: Where the checked-in baselines live (``--baseline-dir`` default).
+BASELINE_DIR = Path(__file__).resolve().parents[3] / "benchmarks" \
+    / "baselines"
+
+
+def digest(seq: Iterable[Any]) -> str:
+    """A short stable digest of any JSON-serializable sequence.
+
+    Pinning the digest (rather than the raw per-request list) keeps the
+    baseline JSON small while still failing the gate if any single
+    request's outcome, decision, or timing shifts.
+    """
+    payload = json.dumps(list(seq), separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def pinned_drift(label: str, current: Dict[str, Any],
+                 baseline: Dict[str, Any], fields: Sequence[str],
+                 arms: Optional[Sequence[str]] = None) -> List[str]:
+    """One ``"<label>[<arm>.]<field>: <cur> vs pinned <base>"`` message
+    per pinned field that differs from the baseline.
+
+    With ``arms``, each field is compared inside each arm's sub-dict;
+    without, at the top level of the two docs. A field missing on one
+    side counts as drift.
+    """
+    pairs = [("", current, baseline)] if arms is None else [
+        (f"{arm}.", current.get(arm, {}), baseline.get(arm, {}))
+        for arm in arms]
+    return [f"{label}{prefix}{fld}: {cur.get(fld)} vs pinned "
+            f"{base.get(fld)}"
+            for prefix, cur, base in pairs for fld in fields
+            if cur.get(fld) != base.get(fld)]
+
+
+# ---------------------------------------------------------------------------
+# E4 critical-path gate
+# ---------------------------------------------------------------------------
 
 #: The pinned E4 workload (mirrors e04_fig2_pipeline, co-locate arm).
 SEED = 41
@@ -203,30 +200,53 @@ def fold_layers(by_name: Dict[str, float]) -> Dict[str, float]:
     return dict(sorted(out.items()))
 
 
-def run_pinned_e4(requests: int = REQUESTS,
-                  sample_rate: Optional[float] = None
-                  ) -> Tuple[PCSICloud, Dict[str, float], Dict[str, float]]:
-    """Run the pinned workload; returns (cloud, by_name, by_layer).
-
-    ``sample_rate`` installs a probabilistic head sampler (used by the
-    sampling acceptance test; the gate itself traces everything).
-    """
-    sampler = None if sample_rate is None \
-        else ProbabilisticSampler(sample_rate, seed=SEED)
+def run_pinned_e4() -> Tuple[PCSICloud, Dict[str, float], Dict[str, float]]:
+    """Run the pinned workload; returns (cloud, by_name, by_layer)."""
     cloud = PCSICloud(racks=4, nodes_per_rack=8, gpu_nodes_per_rack=2,
                       seed=SEED, placement="colocate", keep_alive=600.0,
-                      trace=True, sampler=sampler)
+                      trace=True)
     app = ModelServingApp(cloud, CFG)
     client = cloud.client_node()
 
     def flow() -> Generator:
-        for _ in range(WARMUP + requests):
+        for _ in range(WARMUP + REQUESTS):
             yield from app.serve_one(client)
 
     cloud.run_process(flow())
     reports = invocation_critical_paths(cloud.tracer)
     by_name = merged_by_name(reports)
     return cloud, by_name, fold_layers(by_name)
+
+
+def baseline_doc(by_layer: Dict[str, float],
+                 by_name: Dict[str, float]) -> Dict[str, Any]:
+    """The E4 gate doc (and checked-in baseline)."""
+    return {
+        "experiment": "E4 pinned (PCSI co-locate)",
+        "seed": SEED,
+        "warmup": WARMUP,
+        "requests": REQUESTS,
+        "by_layer": by_layer,
+        "by_name": by_name,
+        "default_tolerance": DEFAULT_TOLERANCE,
+        "abs_floor_s": ABS_FLOOR,
+        "tolerances": {
+            # Cold starts happen once, then warm reuse: small absolute
+            # numbers, so give the layer more relative headroom.
+            "coldstart": 0.25,
+        },
+    }
+
+
+def run_e4_gate(out_dir: Optional[Path] = None) -> Dict[str, Any]:
+    """Run the pinned E4 workload; with ``out_dir``, also write the
+    run's labeled-metrics JSON there as ``e4_metrics.json``."""
+    cloud, by_name, by_layer = run_pinned_e4()
+    if out_dir is not None:
+        path = out_dir / "e4_metrics.json"
+        cloud.metrics.write_json(str(path), now=cloud.sim.now)
+        print(f"e4: labeled metrics written to {path}")
+    return baseline_doc(by_layer, by_name)
 
 
 def compare(current: Dict[str, float], baseline: Dict[str, Any]
@@ -251,10 +271,11 @@ def compare(current: Dict[str, float], baseline: Dict[str, Any]
     return violations
 
 
-def default_baseline_path() -> Path:
-    """``benchmarks/baselines/e4_critical_path.json`` at the repo root."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" \
-        / "baselines" / "e4_critical_path.json"
+def _e4_summary(doc: Dict[str, Any]) -> str:
+    return "\n".join(
+        f"  {layer:<10} {secs * 1e3:9.3f} ms"
+        for layer, secs in sorted(doc["by_layer"].items(),
+                                  key=lambda kv: -kv[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +290,6 @@ AUTOSCALE_BURST_RATE = 10.0
 AUTOSCALE_GAP = 60.0
 #: The controller must cut cold starts by at least this fraction.
 MIN_REDUCTION = 0.30
-
-
-def autoscale_baseline_path() -> Path:
-    """``benchmarks/baselines/autoscale_burst.json`` at the repo root."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" \
-        / "baselines" / "autoscale_burst.json"
 
 
 def _arm_doc(result: HarnessResult) -> Dict[str, Any]:
@@ -330,31 +345,32 @@ PINNED_ARM_FIELDS = ("offered", "completed", "failed", "cold_starts",
                      "warm_hits", "prewarmed", "queue_waits",
                      "final_size")
 
+AUTOSCALE_ARMS = ("fixed", "controlled")
+
 
 def compare_autoscale(current: Dict[str, Any],
                       baseline: Dict[str, Any]) -> List[str]:
     """Violations of the autoscale gate against its baseline doc."""
-    violations: List[str] = []
-    for arm in ("fixed", "controlled"):
-        base_arm = baseline.get(arm, {})
-        cur_arm = current.get(arm, {})
-        for fld in PINNED_ARM_FIELDS:
-            base, cur = base_arm.get(fld), cur_arm.get(fld)
-            if base != cur:
-                violations.append(
-                    f"{arm}.{fld}: {cur} vs pinned {base}")
+    violations = pinned_drift("", current, baseline, PINNED_ARM_FIELDS,
+                              AUTOSCALE_ARMS)
     min_reduction = baseline.get("min_reduction", MIN_REDUCTION)
     reduction = current.get("cold_start_reduction", 0.0)
     if reduction < min_reduction:
         violations.append(
             f"cold-start reduction {reduction:.1%} is below the "
             f"required {min_reduction:.0%}")
-    for arm in ("fixed", "controlled"):
+    for arm in AUTOSCALE_ARMS:
         if current.get(arm, {}).get("final_size") != 0:
             violations.append(
                 f"{arm}: pool did not scale to zero "
                 f"(final_size={current.get(arm, {}).get('final_size')})")
     return violations
+
+
+def _autoscale_summary(doc: Dict[str, Any]) -> str:
+    return (f"  autoscale  cold {doc['fixed']['cold_starts']} "
+            f"(fixed) -> {doc['controlled']['cold_starts']} "
+            f"(queue-depth), -{doc['cold_start_reduction']:.1%}")
 
 
 # ---------------------------------------------------------------------------
@@ -368,29 +384,13 @@ PINNED_CHAOS_FIELDS = ("offered", "ok", "deadline_exceeded", "errors",
                        "retries", "hedges", "hedge_wins", "failovers",
                        "faults_injected", "outcome_fingerprint")
 
-
-def chaos_baseline_path() -> Path:
-    """``benchmarks/baselines/chaos_goodput.json`` at the repo root."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" \
-        / "baselines" / "chaos_goodput.json"
-
-
-def _outcome_fingerprint(outcomes: List[Any]) -> str:
-    """A short stable digest of the per-request outcome sequence.
-
-    Pinning the digest (rather than the raw ``(kind, latency)`` list)
-    keeps the baseline JSON small while still failing the gate if any
-    single request's outcome or timing shifts.
-    """
-    payload = json.dumps([list(o) for o in outcomes],
-                         separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+CHAOS_ARMS = ("naive", "hardened")
 
 
 def _chaos_arm_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
     """One chaos arm with the bulky outcome list folded to a digest."""
     doc = {k: v for k, v in arm.items() if k != "outcomes"}
-    doc["outcome_fingerprint"] = _outcome_fingerprint(arm["outcomes"])
+    doc["outcome_fingerprint"] = digest(arm["outcomes"])
     return doc
 
 
@@ -416,15 +416,8 @@ def run_chaos_gate() -> Dict[str, Any]:
 def compare_chaos(current: Dict[str, Any],
                   baseline: Dict[str, Any]) -> List[str]:
     """Violations of the chaos gate against its baseline doc."""
-    violations: List[str] = []
-    for arm in ("naive", "hardened"):
-        base_arm = baseline.get(arm, {})
-        cur_arm = current.get(arm, {})
-        for fld in PINNED_CHAOS_FIELDS:
-            base, cur = base_arm.get(fld), cur_arm.get(fld)
-            if base != cur:
-                violations.append(f"chaos {arm}.{fld}: {cur} vs "
-                                  f"pinned {base}")
+    violations = pinned_drift("chaos ", current, baseline,
+                              PINNED_CHAOS_FIELDS, CHAOS_ARMS)
     naive, hardened = current.get("naive", {}), current.get("hardened", {})
     if hardened.get("goodput", 0.0) <= naive.get("goodput", 1.0):
         violations.append(
@@ -450,21 +443,17 @@ def compare_chaos(current: Dict[str, Any],
     return violations
 
 
+def _chaos_summary(doc: Dict[str, Any]) -> str:
+    return (f"  chaos      goodput {doc['naive']['goodput']:.1%} (naive) "
+            f"-> {doc['hardened']['goodput']:.1%} (hardened), "
+            f"{doc['naive']['faults_injected']} faults, gray p99 "
+            f"{doc['unhedged']['p99_s'] * 1e3:.1f} ms -> "
+            f"{doc['hedged']['p99_s'] * 1e3:.1f} ms hedged")
+
+
 # ---------------------------------------------------------------------------
 # Attribution gate
 # ---------------------------------------------------------------------------
-
-def attribution_baseline_path() -> Path:
-    """``benchmarks/baselines/attribution_drift.json`` at the repo root."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" \
-        / "baselines" / "attribution_drift.json"
-
-
-def _seq_fingerprint(seq: List[Any]) -> str:
-    """A short stable digest of any JSON-serializable sequence."""
-    payload = json.dumps(list(seq), separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
 
 def _attribution_arm_doc(arm: Dict[str, Any],
                          phase1_requests: int) -> Dict[str, Any]:
@@ -480,8 +469,8 @@ def _attribution_arm_doc(arm: Dict[str, Any],
         "mode": arm["mode"],
         "phase1_mean_s": arm["phase1_mean_s"],
         "phase2_mean_s": arm["phase2_mean_s"],
-        "decision_fingerprint": _seq_fingerprint(decisions),
-        "latency_fingerprint": _seq_fingerprint(
+        "decision_fingerprint": digest(decisions),
+        "latency_fingerprint": digest(
             arm["phase1_latencies"] + arm["phase2_latencies"]),
         "phase2_all_npu": all(d == "npu"
                               for d in decisions[phase1_requests:]),
@@ -521,15 +510,8 @@ def run_attribution_gate() -> Dict[str, Any]:
 def compare_attribution(current: Dict[str, Any],
                         baseline: Dict[str, Any]) -> List[str]:
     """Violations of the attribution gate against its baseline doc."""
-    violations: List[str] = []
-    for arm in ATTRIBUTION_ARMS:
-        base_arm = baseline.get(arm, {})
-        cur_arm = current.get(arm, {})
-        for fld in PINNED_ATTRIBUTION_FIELDS:
-            base, cur = base_arm.get(fld), cur_arm.get(fld)
-            if base != cur:
-                violations.append(
-                    f"attribution {arm}.{fld}: {cur} vs pinned {base}")
+    violations = pinned_drift("attribution ", current, baseline,
+                              PINNED_ATTRIBUTION_FIELDS, ATTRIBUTION_ARMS)
     min_gap = baseline.get("min_gap_closed", 0.0)
     gap_closed = current.get("gap_closed", 0.0)
     if gap_closed < min_gap:
@@ -553,377 +535,12 @@ def compare_attribution(current: Dict[str, Any],
     return violations
 
 
-# ---------------------------------------------------------------------------
-# Overload gate
-# ---------------------------------------------------------------------------
-
-#: Sweep-point fields compared exactly — arrivals, admission
-#: decisions, and deadline outcomes all replay deterministically, so
-#: any drift in these counts is a semantic change to the front door.
-PINNED_OVERLOAD_FIELDS = ("offered", "ok", "deadline_miss", "throttled",
-                          "shed", "per_tenant_fingerprint")
-
-#: Hog-run fields compared exactly per arm.
-PINNED_HOG_FIELDS = ("offered", "ok", "hog_ok", "polite_offered",
-                     "polite_ok")
-
-#: Scale-smoke fields compared exactly (1000 tenants through the
-#: gateway).
-PINNED_SCALE_FIELDS = ("tenants", "offered", "ok", "deadline_miss",
-                       "throttled", "shed", "tenants_served")
-
-
-def overload_baseline_path() -> Path:
-    """``benchmarks/baselines/overload_goodput.json`` at the repo root."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" \
-        / "baselines" / "overload_goodput.json"
-
-
-def _overload_point_doc(point: Dict[str, Any]) -> Dict[str, Any]:
-    """One sweep point with the per-tenant ok list folded to a digest."""
-    doc = {k: v for k, v in point.items() if k != "per_tenant_ok"}
-    doc["per_tenant_fingerprint"] = _seq_fingerprint(
-        point["per_tenant_ok"])
-    return doc
-
-
-def run_overload_gate() -> Dict[str, Any]:
-    """Replay the pinned short overload sweep (none vs gateway)."""
-    from .experiments.e24_overload import (
-        MAX_UNPROTECTED_FRACTION,
-        MIN_GATED_FRACTION,
-        MIN_JAIN,
-        SHORT,
-        run_overload_arms,
-    )
-    res = run_overload_arms(SHORT)
-    return {
-        "experiment": "E24 pinned short overload sweep "
-                      "(none vs gateway)",
-        "config": res["config"],
-        "sweep": {
-            arm: {mult: _overload_point_doc(point)
-                  for mult, point in res["sweep"][arm].items()}
-            for arm in ("none", "gateway")
-        },
-        "gated_peak_rps": res["gated_peak_rps"],
-        "none_peak_rps": res["none_peak_rps"],
-        "gated_fraction_at_top": res["gated_fraction_at_top"],
-        "none_fraction_at_top": res["none_fraction_at_top"],
-        "jain_at_top": res["jain_at_top"],
-        "min_gated_fraction": MIN_GATED_FRACTION,
-        "max_unprotected_fraction": MAX_UNPROTECTED_FRACTION,
-        "min_jain": MIN_JAIN,
-        "hog_none": res["hog_none"],
-        "hog_gateway": res["hog_gateway"],
-        "scale": res["scale"],
-        "direct_fingerprint": res["direct_fingerprint"],
-        "noadmission_fingerprint": res["noadmission_fingerprint"],
-        "noadmission_identical": res["noadmission_identical"],
-    }
-
-
-def compare_overload(current: Dict[str, Any],
-                     baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the overload gate against its baseline doc."""
-    violations: List[str] = []
-    base_sweep = baseline.get("sweep", {})
-    cur_sweep = current.get("sweep", {})
-    for arm in ("none", "gateway"):
-        mults = sorted(set(base_sweep.get(arm, {}))
-                       | set(cur_sweep.get(arm, {})), key=float)
-        for mult in mults:
-            base_pt = base_sweep.get(arm, {}).get(mult, {})
-            cur_pt = cur_sweep.get(arm, {}).get(mult, {})
-            for fld in PINNED_OVERLOAD_FIELDS:
-                base, cur = base_pt.get(fld), cur_pt.get(fld)
-                if base != cur:
-                    violations.append(
-                        f"overload {arm}@{mult}x.{fld}: {cur} vs "
-                        f"pinned {base}")
-    min_gated = baseline.get("min_gated_fraction", 0.0)
-    gated_frac = current.get("gated_fraction_at_top", 0.0)
-    if gated_frac < min_gated:
-        violations.append(
-            f"overload: gateway holds only {gated_frac:.1%} of its "
-            f"peak goodput at the top multiplier (required >= "
-            f"{min_gated:.0%})")
-    max_none = baseline.get("max_unprotected_fraction", 1.0)
-    none_frac = current.get("none_fraction_at_top", 1.0)
-    if none_frac >= max_none:
-        violations.append(
-            f"overload: the unprotected arm retains {none_frac:.1%} "
-            f"of its peak at the top multiplier — it no longer "
-            f"collapses (expected < {max_none:.0%}), so the "
-            "comparison is not exercising overload")
-    min_jain = baseline.get("min_jain", 0.0)
-    jain = current.get("jain_at_top", 0.0)
-    if jain < min_jain:
-        violations.append(
-            f"overload: Jain fairness {jain:.3f} among equal-weight "
-            f"tenants at the top multiplier (required >= {min_jain})")
-    for arm in ("hog_none", "hog_gateway"):
-        base_arm = baseline.get(arm, {})
-        cur_arm = current.get(arm, {})
-        for fld in PINNED_HOG_FIELDS:
-            base, cur = base_arm.get(fld), cur_arm.get(fld)
-            if base != cur:
-                violations.append(
-                    f"overload {arm}.{fld}: {cur} vs pinned {base}")
-    gated_polite = current.get("hog_gateway", {}).get("polite_goodput",
-                                                      0.0)
-    none_polite = current.get("hog_none", {}).get("polite_goodput", 1.0)
-    if gated_polite <= none_polite:
-        violations.append(
-            f"overload: per-tenant buckets no longer protect polite "
-            f"tenants from the hog ({gated_polite:.1%} gated vs "
-            f"{none_polite:.1%} unprotected)")
-    for fld in PINNED_SCALE_FIELDS:
-        base = baseline.get("scale", {}).get(fld)
-        cur = current.get("scale", {}).get(fld)
-        if base != cur:
-            violations.append(
-                f"overload scale.{fld}: {cur} vs pinned {base}")
-    if current.get("noadmission_fingerprint") \
-            != baseline.get("noadmission_fingerprint"):
-        violations.append(
-            f"overload: NoAdmission fingerprint "
-            f"{current.get('noadmission_fingerprint')} vs pinned "
-            f"{baseline.get('noadmission_fingerprint')}")
-    if not current.get("noadmission_identical", False):
-        violations.append(
-            "overload: the NoAdmission pass-through is no longer "
-            "byte-identical to the seed scheduler path")
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Recovery gate
-# ---------------------------------------------------------------------------
-
-#: Per-arm fields compared exactly — arrivals, faults, detection, and
-#: recovery all replay deterministically, so any drift in these is a
-#: semantic change to the health plane or the invoke path.
-PINNED_RECOVERY_FIELDS = ("offered", "front", "batch", "errors",
-                          "fault_events", "orphaned", "recovered",
-                          "deduped", "ejections", "crashes_detected",
-                          "crashes_total", "detection_latencies",
-                          "fingerprint")
-
-
-def recovery_baseline_path() -> Path:
-    """``benchmarks/baselines/recovery_mttr.json`` at the repo root."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" \
-        / "baselines" / "recovery_mttr.json"
-
-
-def run_recovery_gate() -> Dict[str, Any]:
-    """Replay the pinned short chaos-storm MTTR run (both arms)."""
-    from .experiments.e25_recovery import (
-        MAX_DETECTION_LATENCY,
-        MAX_OFF_RETENTION,
-        MIN_ON_RETENTION,
-        MIN_ORPHANS,
-        MIN_RECOVERED_RATIO,
-        SHORT,
-        run_recovery_arms,
-    )
-    res = run_recovery_arms(SHORT)
-    return {
-        "experiment": "E25 pinned short chaos-storm MTTR "
-                      "(detection vs none)",
-        "config": res["config"],
-        "detection": res["detection"],
-        "none": res["none"],
-        "recovery_ratio": res["recovery_ratio"],
-        "min_recovered_ratio": MIN_RECOVERED_RATIO,
-        "min_orphans": MIN_ORPHANS,
-        "min_on_retention": MIN_ON_RETENTION,
-        "max_off_retention": MAX_OFF_RETENTION,
-        "max_detection_latency": MAX_DETECTION_LATENCY,
-    }
-
-
-def compare_recovery(current: Dict[str, Any],
-                     baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the recovery gate against its baseline doc."""
-    violations: List[str] = []
-    for arm in ("detection", "none"):
-        base_arm = baseline.get(arm, {})
-        cur_arm = current.get(arm, {})
-        for fld in PINNED_RECOVERY_FIELDS:
-            base, cur = base_arm.get(fld), cur_arm.get(fld)
-            if base != cur:
-                violations.append(
-                    f"recovery {arm}.{fld}: {cur} vs pinned {base}")
-    on = current.get("detection", {})
-    off = current.get("none", {})
-    min_ratio = baseline.get("min_recovered_ratio", 0.0)
-    ratio = current.get("recovery_ratio", 0.0)
-    if ratio < min_ratio:
-        violations.append(
-            f"recovery: only {ratio:.1%} of orphaned in-flight invokes "
-            f"were recovered (required >= {min_ratio:.0%})")
-    min_orphans = baseline.get("min_orphans", 0)
-    if on.get("orphaned", 0) < min_orphans:
-        violations.append(
-            f"recovery: the storm orphaned only "
-            f"{on.get('orphaned', 0)} invokes (required >= "
-            f"{min_orphans}), so it is not exercising crash recovery")
-    min_on = baseline.get("min_on_retention", 0.0)
-    on_ret = on.get("goodput_retention", 0.0)
-    if on_ret < min_on:
-        violations.append(
-            f"recovery: the detection arm holds only {on_ret:.1%} of "
-            f"its pre-fault goodput through the storm (required >= "
-            f"{min_on:.0%})")
-    max_off = baseline.get("max_off_retention", 1.0)
-    off_ret = off.get("goodput_retention", 1.0)
-    if off_ret >= max_off:
-        violations.append(
-            f"recovery: the detection-off arm retains {off_ret:.1%} of "
-            f"its pre-fault goodput — the storm no longer hurts it "
-            f"(expected < {max_off:.0%}), so the comparison is not "
-            "exercising the health plane")
-    max_latency = baseline.get("max_detection_latency", float("inf"))
-    det_max = on.get("detection_latency_max", 0.0)
-    if det_max > max_latency:
-        violations.append(
-            f"recovery: worst crash-detection latency {det_max:.2f} s "
-            f"(required <= {max_latency:.1f} s)")
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Tail gate
-# ---------------------------------------------------------------------------
-
-#: Objective-arm fields compared exactly — the decision digest pins
-#: *which impl served every request* (the p99 flip and the mean
-#: non-flip), the latency digest every request's exact duration, and
-#: the SLO fields the burn-rate alerting behavior.
-PINNED_TAIL_OBJECTIVE_FIELDS = ("objective", "decision_fingerprint",
-                                "latency_fingerprint", "flip_index",
-                                "stuck_on_bimodal", "slo_alerts")
-
-#: Hedge-arm fields compared exactly per arm.
-PINNED_TAIL_HEDGE_FIELDS = ("mode", "latency_fingerprint", "hedges",
-                            "hedge_wins")
-
-
-def tail_baseline_path() -> Path:
-    """``benchmarks/baselines/tail_drift.json`` at the repo root."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" \
-        / "baselines" / "tail_drift.json"
-
-
-def _tail_objective_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
-    """One objective arm with its bulky sequences folded to digests."""
-    return {
-        "objective": arm["objective"],
-        "mean_s": arm["mean_s"],
-        "p99_s": arm["p99_s"],
-        "decision_fingerprint": _seq_fingerprint(arm["decisions"]),
-        "latency_fingerprint": _seq_fingerprint(arm["latencies"]),
-        "flip_index": arm["flip_index"],
-        "stuck_on_bimodal": arm["stuck_on_bimodal"],
-        "slo_alerts": arm["slo_alerts"],
-        "slo_final_burn": arm["slo_final_burn"],
-        "slo_attainment": arm["slo_attainment"],
-        "sketch_rel_err": arm["sketch_rel_err"],
-    }
-
-
-def _tail_hedge_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
-    """One hedge arm with its latency sequence folded to a digest."""
-    return {
-        "mode": arm["mode"],
-        "mean_s": arm["mean_s"],
-        "p50_s": arm["p50_s"],
-        "p99_s": arm["p99_s"],
-        "latency_fingerprint": _seq_fingerprint(arm["latencies"]),
-        "hedges": arm["hedges"],
-        "hedge_wins": arm["hedge_wins"],
-        "launch_fraction": arm["launch_fraction"],
-        "sketch_rel_err": arm["sketch_rel_err"],
-    }
-
-
-def run_tail_gate() -> Dict[str, Any]:
-    """Replay the pinned E26 tail comparison (all four arms)."""
-    from .experiments.e26_tail import (
-        MAX_HEDGE_OVERHEAD,
-        MAX_SKETCH_REL_ERR,
-        run_tail_arms,
-    )
-    res = run_tail_arms()
-    return {
-        "experiment": "E26 pinned tail pipeline (p99 objective, "
-                      "adaptive hedging, SLO burn)",
-        "config": res["config"],
-        "mean": _tail_objective_doc(res["mean"]),
-        "p99": _tail_objective_doc(res["p99"]),
-        "hedge_fixed": _tail_hedge_doc(res["hedge_fixed"]),
-        "hedge_adaptive": _tail_hedge_doc(res["hedge_adaptive"]),
-        "p99_tail_cut": res["p99_tail_cut"],
-        "hedge_p99_cut": res["hedge_p99_cut"],
-        "sketch_rel_err": res["sketch_rel_err"],
-        "max_sketch_rel_err": MAX_SKETCH_REL_ERR,
-        "max_hedge_overhead": MAX_HEDGE_OVERHEAD,
-    }
-
-
-def compare_tail(current: Dict[str, Any],
-                 baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the tail gate against its baseline doc."""
-    violations: List[str] = []
-    for arm in ("mean", "p99"):
-        base_arm = baseline.get(arm, {})
-        cur_arm = current.get(arm, {})
-        for fld in PINNED_TAIL_OBJECTIVE_FIELDS:
-            base, cur = base_arm.get(fld), cur_arm.get(fld)
-            if base != cur:
-                violations.append(
-                    f"tail {arm}.{fld}: {cur} vs pinned {base}")
-    for arm in ("hedge_fixed", "hedge_adaptive"):
-        base_arm = baseline.get(arm, {})
-        cur_arm = current.get(arm, {})
-        for fld in PINNED_TAIL_HEDGE_FIELDS:
-            base, cur = base_arm.get(fld), cur_arm.get(fld)
-            if base != cur:
-                violations.append(
-                    f"tail {arm}.{fld}: {cur} vs pinned {base}")
-    if current.get("p99", {}).get("flip_index") is None:
-        violations.append(
-            "tail: the p99-steered optimizer never flipped to the "
-            "tight-tail impl — the tail objective is not steering")
-    if not current.get("mean", {}).get("stuck_on_bimodal", False):
-        violations.append(
-            "tail: the mean-steered arm left the bimodal impl — the "
-            "trap no longer distinguishes mean from tail steering")
-    fixed_p99 = current.get("hedge_fixed", {}).get("p99_s", 0.0)
-    adaptive_p99 = current.get("hedge_adaptive", {}).get("p99_s",
-                                                         float("inf"))
-    if adaptive_p99 >= fixed_p99:
-        violations.append(
-            f"tail: adaptive hedging no longer beats the fixed delay "
-            f"({adaptive_p99:.6f} s p99 vs {fixed_p99:.6f} s fixed)")
-    max_overhead = baseline.get("max_hedge_overhead", 1.0)
-    launch_fraction = current.get("hedge_adaptive",
-                                  {}).get("launch_fraction", 0.0)
-    if launch_fraction > max_overhead:
-        violations.append(
-            f"tail: adaptive hedging launches duplicates for "
-            f"{launch_fraction:.1%} of requests (bound "
-            f"{max_overhead:.0%})")
-    max_err = baseline.get("max_sketch_rel_err", 1.0)
-    rel_err = current.get("sketch_rel_err", 0.0)
-    if rel_err > max_err:
-        violations.append(
-            f"tail: worst sketch-vs-exact quantile error "
-            f"{rel_err:.2%} across the latency streams (bound "
-            f"{max_err:.0%})")
-    return violations
+def _attribution_summary(doc: Dict[str, Any]) -> str:
+    return (f"  attribution  post-drift "
+            f"{doc['static']['phase2_mean_s'] * 1e3:.1f} ms (static) -> "
+            f"{doc['ema']['phase2_mean_s'] * 1e3:.1f} ms (observed), "
+            f"oracle {doc['oracle_phase2_mean_s'] * 1e3:.1f} ms, "
+            f"gap closed {doc['gap_closed']:.1%}")
 
 
 # ---------------------------------------------------------------------------
@@ -935,14 +552,12 @@ def compare_tail(current: Dict[str, Any],
 #: holds on any runner).
 MIN_SPEEDUP = 5.0
 
-
-def throughput_baseline_path() -> Path:
-    """``benchmarks/baselines/throughput.json`` at the repo root."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" \
-        / "baselines" / "throughput.json"
+#: Timing repeats per stack; the fastest wins. Shared CI runners are
+#: noisy, so take best-of-3.
+THROUGHPUT_REPEAT = 3
 
 
-def run_throughput_gate(repeat: int = 2) -> Dict[str, Any]:
+def run_throughput_gate(repeat: int = THROUGHPUT_REPEAT) -> Dict[str, Any]:
     """Run the pinned hot-loop and invoke benchmarks.
 
     Times the identical workload on the live stack and the frozen
@@ -981,12 +596,9 @@ def compare_throughput(current: Dict[str, Any],
     the speedup is a machine-relative floor, so absolute events/sec
     never enters the comparison.
     """
-    violations: List[str] = []
-    for fld in ("hot_loop_fingerprint", "invoke_fingerprint"):
-        base, cur = baseline.get(fld), current.get(fld)
-        if base != cur:
-            violations.append(
-                f"throughput {fld}: {cur} vs pinned {base}")
+    violations = pinned_drift("throughput ", current, baseline,
+                              ("hot_loop_fingerprint",
+                               "invoke_fingerprint"))
     min_speedup = baseline.get("min_speedup", MIN_SPEEDUP)
     speedup = current.get("speedup", 0.0)
     if speedup < min_speedup:
@@ -1001,421 +613,481 @@ def compare_throughput(current: Dict[str, Any],
     return violations
 
 
-def baseline_doc(by_layer: Dict[str, float],
-                 by_name: Dict[str, float],
-                 requests: int) -> Dict[str, Any]:
-    """The JSON document checked in as the baseline."""
+def _throughput_summary(doc: Dict[str, Any]) -> str:
+    return (f"  throughput {doc['current_events_per_sec']:,.0f} ev/s "
+            f"(current) vs {doc['reference_events_per_sec']:,.0f} ev/s "
+            f"(pre-refactor), {doc['speedup']:.2f}x, "
+            f"{doc['invokes_per_sec']:,.0f} invokes/s")
+
+
+# ---------------------------------------------------------------------------
+# Overload gate
+# ---------------------------------------------------------------------------
+
+#: Sweep-point fields compared exactly — arrivals, admission
+#: decisions, and deadline outcomes all replay deterministically, so
+#: any drift in these counts is a semantic change to the front door.
+PINNED_OVERLOAD_FIELDS = ("offered", "ok", "deadline_miss", "throttled",
+                          "shed", "per_tenant_fingerprint")
+
+#: Hog-run fields compared exactly per arm.
+PINNED_HOG_FIELDS = ("offered", "ok", "hog_ok", "polite_offered",
+                     "polite_ok")
+
+#: Scale-smoke fields compared exactly (1000 tenants through the
+#: gateway).
+PINNED_SCALE_FIELDS = ("tenants", "offered", "ok", "deadline_miss",
+                       "throttled", "shed", "tenants_served")
+
+OVERLOAD_ARMS = ("none", "gateway")
+HOG_ARMS = ("hog_none", "hog_gateway")
+
+
+def _overload_point_doc(point: Dict[str, Any]) -> Dict[str, Any]:
+    """One sweep point with the per-tenant ok list folded to a digest."""
+    doc = {k: v for k, v in point.items() if k != "per_tenant_ok"}
+    doc["per_tenant_fingerprint"] = digest(point["per_tenant_ok"])
+    return doc
+
+
+def run_overload_gate() -> Dict[str, Any]:
+    """Replay the pinned short overload sweep (none vs gateway)."""
+    from .experiments.e24_overload import (
+        MAX_UNPROTECTED_FRACTION,
+        MIN_GATED_FRACTION,
+        MIN_JAIN,
+        SHORT,
+        run_overload_arms,
+    )
+    res = run_overload_arms(SHORT)
     return {
-        "experiment": "E4 pinned (PCSI co-locate)",
-        "seed": SEED,
-        "warmup": WARMUP,
-        "requests": requests,
-        "by_layer": by_layer,
-        "by_name": by_name,
-        "default_tolerance": DEFAULT_TOLERANCE,
-        "abs_floor_s": ABS_FLOOR,
-        "tolerances": {
-            # Cold starts happen once, then warm reuse: small absolute
-            # numbers, so give the layer more relative headroom.
-            "coldstart": 0.25,
+        "experiment": "E24 pinned short overload sweep "
+                      "(none vs gateway)",
+        "config": res["config"],
+        "sweep": {
+            arm: {mult: _overload_point_doc(point)
+                  for mult, point in res["sweep"][arm].items()}
+            for arm in OVERLOAD_ARMS
         },
+        "gated_peak_rps": res["gated_peak_rps"],
+        "none_peak_rps": res["none_peak_rps"],
+        "gated_fraction_at_top": res["gated_fraction_at_top"],
+        "none_fraction_at_top": res["none_fraction_at_top"],
+        "jain_at_top": res["jain_at_top"],
+        "min_gated_fraction": MIN_GATED_FRACTION,
+        "max_unprotected_fraction": MAX_UNPROTECTED_FRACTION,
+        "min_jain": MIN_JAIN,
+        "hog_none": res["hog_none"],
+        "hog_gateway": res["hog_gateway"],
+        "scale": res["scale"],
+        "direct_fingerprint": res["direct_fingerprint"],
+        "noadmission_fingerprint": res["noadmission_fingerprint"],
+        "noadmission_identical": res["noadmission_identical"],
     }
 
 
+def compare_overload(current: Dict[str, Any],
+                     baseline: Dict[str, Any]) -> List[str]:
+    """Violations of the overload gate against its baseline doc."""
+    violations: List[str] = []
+    base_sweep = baseline.get("sweep", {})
+    cur_sweep = current.get("sweep", {})
+    for arm in OVERLOAD_ARMS:
+        mults = sorted(set(base_sweep.get(arm, {}))
+                       | set(cur_sweep.get(arm, {})), key=float)
+        for mult in mults:
+            violations += pinned_drift(
+                f"overload {arm}@{mult}x.",
+                cur_sweep.get(arm, {}).get(mult, {}),
+                base_sweep.get(arm, {}).get(mult, {}),
+                PINNED_OVERLOAD_FIELDS)
+    min_gated = baseline.get("min_gated_fraction", 0.0)
+    gated_frac = current.get("gated_fraction_at_top", 0.0)
+    if gated_frac < min_gated:
+        violations.append(
+            f"overload: gateway holds only {gated_frac:.1%} of its "
+            f"peak goodput at the top multiplier (required >= "
+            f"{min_gated:.0%})")
+    max_none = baseline.get("max_unprotected_fraction", 1.0)
+    none_frac = current.get("none_fraction_at_top", 1.0)
+    if none_frac >= max_none:
+        violations.append(
+            f"overload: the unprotected arm retains {none_frac:.1%} "
+            f"of its peak at the top multiplier — it no longer "
+            f"collapses (expected < {max_none:.0%}), so the "
+            "comparison is not exercising overload")
+    min_jain = baseline.get("min_jain", 0.0)
+    jain = current.get("jain_at_top", 0.0)
+    if jain < min_jain:
+        violations.append(
+            f"overload: Jain fairness {jain:.3f} among equal-weight "
+            f"tenants at the top multiplier (required >= {min_jain})")
+    violations += pinned_drift("overload ", current, baseline,
+                               PINNED_HOG_FIELDS, HOG_ARMS)
+    gated_polite = current.get("hog_gateway", {}).get("polite_goodput",
+                                                      0.0)
+    none_polite = current.get("hog_none", {}).get("polite_goodput", 1.0)
+    if gated_polite <= none_polite:
+        violations.append(
+            f"overload: per-tenant buckets no longer protect polite "
+            f"tenants from the hog ({gated_polite:.1%} gated vs "
+            f"{none_polite:.1%} unprotected)")
+    violations += pinned_drift("overload ", current, baseline,
+                               PINNED_SCALE_FIELDS, ("scale",))
+    if current.get("noadmission_fingerprint") \
+            != baseline.get("noadmission_fingerprint"):
+        violations.append(
+            f"overload: NoAdmission fingerprint "
+            f"{current.get('noadmission_fingerprint')} vs pinned "
+            f"{baseline.get('noadmission_fingerprint')}")
+    if not current.get("noadmission_identical", False):
+        violations.append(
+            "overload: the NoAdmission pass-through is no longer "
+            "byte-identical to the seed scheduler path")
+    return violations
+
+
+def _overload_summary(doc: Dict[str, Any]) -> str:
+    passthrough = ("identical" if doc["noadmission_identical"]
+                   else "DIVERGED")
+    return (f"  overload   goodput at 4x: "
+            f"{doc['none_fraction_at_top']:.1%} of peak (unprotected) vs "
+            f"{doc['gated_fraction_at_top']:.1%} (gateway), "
+            f"Jain {doc['jain_at_top']:.3f}, "
+            f"{doc['scale']['tenants']} tenants OK, "
+            f"pass-through {passthrough}")
+
+
+# ---------------------------------------------------------------------------
+# Recovery gate
+# ---------------------------------------------------------------------------
+
+#: Per-arm fields compared exactly — arrivals, faults, detection, and
+#: recovery all replay deterministically, so any drift in these is a
+#: semantic change to the health plane or the invoke path.
+PINNED_RECOVERY_FIELDS = ("offered", "front", "batch", "errors",
+                          "fault_events", "orphaned", "recovered",
+                          "deduped", "ejections", "crashes_detected",
+                          "crashes_total", "detection_latencies",
+                          "fingerprint")
+
+RECOVERY_ARMS = ("detection", "none")
+
+
+def run_recovery_gate() -> Dict[str, Any]:
+    """Replay the pinned short chaos-storm MTTR run (both arms)."""
+    from .experiments.e25_recovery import (
+        MAX_DETECTION_LATENCY,
+        MAX_OFF_RETENTION,
+        MIN_ON_RETENTION,
+        MIN_ORPHANS,
+        MIN_RECOVERED_RATIO,
+        SHORT,
+        run_recovery_arms,
+    )
+    res = run_recovery_arms(SHORT)
+    return {
+        "experiment": "E25 pinned short chaos-storm MTTR "
+                      "(detection vs none)",
+        "config": res["config"],
+        "detection": res["detection"],
+        "none": res["none"],
+        "recovery_ratio": res["recovery_ratio"],
+        "min_recovered_ratio": MIN_RECOVERED_RATIO,
+        "min_orphans": MIN_ORPHANS,
+        "min_on_retention": MIN_ON_RETENTION,
+        "max_off_retention": MAX_OFF_RETENTION,
+        "max_detection_latency": MAX_DETECTION_LATENCY,
+    }
+
+
+def compare_recovery(current: Dict[str, Any],
+                     baseline: Dict[str, Any]) -> List[str]:
+    """Violations of the recovery gate against its baseline doc."""
+    violations = pinned_drift("recovery ", current, baseline,
+                              PINNED_RECOVERY_FIELDS, RECOVERY_ARMS)
+    on = current.get("detection", {})
+    off = current.get("none", {})
+    min_ratio = baseline.get("min_recovered_ratio", 0.0)
+    ratio = current.get("recovery_ratio", 0.0)
+    if ratio < min_ratio:
+        violations.append(
+            f"recovery: only {ratio:.1%} of orphaned in-flight invokes "
+            f"were recovered (required >= {min_ratio:.0%})")
+    min_orphans = baseline.get("min_orphans", 0)
+    if on.get("orphaned", 0) < min_orphans:
+        violations.append(
+            f"recovery: the storm orphaned only "
+            f"{on.get('orphaned', 0)} invokes (required >= "
+            f"{min_orphans}), so it is not exercising crash recovery")
+    min_on = baseline.get("min_on_retention", 0.0)
+    on_ret = on.get("goodput_retention", 0.0)
+    if on_ret < min_on:
+        violations.append(
+            f"recovery: the detection arm holds only {on_ret:.1%} of "
+            f"its pre-fault goodput through the storm (required >= "
+            f"{min_on:.0%})")
+    max_off = baseline.get("max_off_retention", 1.0)
+    off_ret = off.get("goodput_retention", 1.0)
+    if off_ret >= max_off:
+        violations.append(
+            f"recovery: the detection-off arm retains {off_ret:.1%} of "
+            f"its pre-fault goodput — the storm no longer hurts it "
+            f"(expected < {max_off:.0%}), so the comparison is not "
+            "exercising the health plane")
+    max_latency = baseline.get("max_detection_latency", float("inf"))
+    det_max = on.get("detection_latency_max", 0.0)
+    if det_max > max_latency:
+        violations.append(
+            f"recovery: worst crash-detection latency {det_max:.2f} s "
+            f"(required <= {max_latency:.1f} s)")
+    return violations
+
+
+def _recovery_summary(doc: Dict[str, Any]) -> str:
+    on = doc["detection"]
+    return (f"  recovery   storm goodput "
+            f"{doc['none']['goodput_retention']:.1%} (detection off) -> "
+            f"{on['goodput_retention']:.1%} (health plane), "
+            f"{on['recovered']}/{on['orphaned']} orphans recovered, "
+            f"{on['ejections']} ejections, worst detect "
+            f"{on['detection_latency_max'] * 1e3:.0f} ms")
+
+
+# ---------------------------------------------------------------------------
+# Tail gate
+# ---------------------------------------------------------------------------
+
+#: Objective-arm fields compared exactly — the decision digest pins
+#: *which impl served every request* (the p99 flip and the mean
+#: non-flip), the latency digest every request's exact duration, and
+#: the SLO fields the burn-rate alerting behavior.
+PINNED_TAIL_OBJECTIVE_FIELDS = ("objective", "decision_fingerprint",
+                                "latency_fingerprint", "flip_index",
+                                "stuck_on_bimodal", "slo_alerts")
+
+#: Hedge-arm fields compared exactly per arm.
+PINNED_TAIL_HEDGE_FIELDS = ("mode", "latency_fingerprint", "hedges",
+                            "hedge_wins")
+
+TAIL_OBJECTIVE_ARMS = ("mean", "p99")
+TAIL_HEDGE_ARMS = ("hedge_fixed", "hedge_adaptive")
+
+
+def _tail_objective_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
+    """One objective arm with its bulky sequences folded to digests."""
+    return {
+        "objective": arm["objective"],
+        "mean_s": arm["mean_s"],
+        "p99_s": arm["p99_s"],
+        "decision_fingerprint": digest(arm["decisions"]),
+        "latency_fingerprint": digest(arm["latencies"]),
+        "flip_index": arm["flip_index"],
+        "stuck_on_bimodal": arm["stuck_on_bimodal"],
+        "slo_alerts": arm["slo_alerts"],
+        "slo_final_burn": arm["slo_final_burn"],
+        "slo_attainment": arm["slo_attainment"],
+        "sketch_rel_err": arm["sketch_rel_err"],
+    }
+
+
+def _tail_hedge_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
+    """One hedge arm with its latency sequence folded to a digest."""
+    return {
+        "mode": arm["mode"],
+        "mean_s": arm["mean_s"],
+        "p50_s": arm["p50_s"],
+        "p99_s": arm["p99_s"],
+        "latency_fingerprint": digest(arm["latencies"]),
+        "hedges": arm["hedges"],
+        "hedge_wins": arm["hedge_wins"],
+        "launch_fraction": arm["launch_fraction"],
+        "sketch_rel_err": arm["sketch_rel_err"],
+    }
+
+
+def run_tail_gate() -> Dict[str, Any]:
+    """Replay the pinned E26 tail comparison (all four arms)."""
+    from .experiments.e26_tail import (
+        MAX_HEDGE_OVERHEAD,
+        MAX_SKETCH_REL_ERR,
+        run_tail_arms,
+    )
+    res = run_tail_arms()
+    return {
+        "experiment": "E26 pinned tail pipeline (p99 objective, "
+                      "adaptive hedging, SLO burn)",
+        "config": res["config"],
+        "mean": _tail_objective_doc(res["mean"]),
+        "p99": _tail_objective_doc(res["p99"]),
+        "hedge_fixed": _tail_hedge_doc(res["hedge_fixed"]),
+        "hedge_adaptive": _tail_hedge_doc(res["hedge_adaptive"]),
+        "p99_tail_cut": res["p99_tail_cut"],
+        "hedge_p99_cut": res["hedge_p99_cut"],
+        "sketch_rel_err": res["sketch_rel_err"],
+        "max_sketch_rel_err": MAX_SKETCH_REL_ERR,
+        "max_hedge_overhead": MAX_HEDGE_OVERHEAD,
+    }
+
+
+def compare_tail(current: Dict[str, Any],
+                 baseline: Dict[str, Any]) -> List[str]:
+    """Violations of the tail gate against its baseline doc."""
+    violations = pinned_drift("tail ", current, baseline,
+                              PINNED_TAIL_OBJECTIVE_FIELDS,
+                              TAIL_OBJECTIVE_ARMS)
+    violations += pinned_drift("tail ", current, baseline,
+                               PINNED_TAIL_HEDGE_FIELDS, TAIL_HEDGE_ARMS)
+    if current.get("p99", {}).get("flip_index") is None:
+        violations.append(
+            "tail: the p99-steered optimizer never flipped to the "
+            "tight-tail impl — the tail objective is not steering")
+    if not current.get("mean", {}).get("stuck_on_bimodal", False):
+        violations.append(
+            "tail: the mean-steered arm left the bimodal impl — the "
+            "trap no longer distinguishes mean from tail steering")
+    fixed_p99 = current.get("hedge_fixed", {}).get("p99_s", 0.0)
+    adaptive_p99 = current.get("hedge_adaptive", {}).get("p99_s",
+                                                         float("inf"))
+    if adaptive_p99 >= fixed_p99:
+        violations.append(
+            f"tail: adaptive hedging no longer beats the fixed delay "
+            f"({adaptive_p99:.6f} s p99 vs {fixed_p99:.6f} s fixed)")
+    max_overhead = baseline.get("max_hedge_overhead", 1.0)
+    launch_fraction = current.get("hedge_adaptive",
+                                  {}).get("launch_fraction", 0.0)
+    if launch_fraction > max_overhead:
+        violations.append(
+            f"tail: adaptive hedging launches duplicates for "
+            f"{launch_fraction:.1%} of requests (bound "
+            f"{max_overhead:.0%})")
+    max_err = baseline.get("max_sketch_rel_err", 1.0)
+    rel_err = current.get("sketch_rel_err", 0.0)
+    if rel_err > max_err:
+        violations.append(
+            f"tail: worst sketch-vs-exact quantile error "
+            f"{rel_err:.2%} across the latency streams (bound "
+            f"{max_err:.0%})")
+    return violations
+
+
+def _tail_summary(doc: Dict[str, Any]) -> str:
+    ha = doc["hedge_adaptive"]
+    return (f"  tail       p99 {doc['mean']['p99_s'] * 1e3:.0f} ms "
+            f"(objective=mean) -> {doc['p99']['p99_s'] * 1e3:.0f} ms "
+            f"(objective=p99), hedge p99 "
+            f"{doc['hedge_fixed']['p99_s'] * 1e3:.0f} ms (fixed) -> "
+            f"{ha['p99_s'] * 1e3:.0f} ms (adaptive, "
+            f"{ha['launch_fraction']:.0%} launches), sketch err "
+            f"{doc['sketch_rel_err']:.2%}")
+
+
+# ---------------------------------------------------------------------------
+# The registry and the CLI
+# ---------------------------------------------------------------------------
+
+Doc = Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One regression gate: how to run it, judge it, and report it."""
+
+    #: ``--only`` choice, CI matrix arm, and ``<name>.json`` artifact.
+    name: str
+    #: Baseline file name under the baseline directory.
+    baseline: str
+    #: Replays the pinned workload and returns the gate doc. A gate
+    #: with side artifacts writes them into the ``--out-dir`` it is
+    #: given (``None``: write nothing).
+    run: Callable[[Optional[Path]], Doc]
+    #: ``compare(doc, baseline)``: violation messages, empty on pass.
+    compare: Callable[[Doc, Doc], List[str]]
+    #: A human-readable report of one run.
+    summary: Callable[[Doc], str]
+
+
+#: Every gate, in run order.
+GATES: Tuple[Gate, ...] = (
+    Gate("e4", "e4_critical_path.json", run_e4_gate,
+         lambda doc, base: compare(doc["by_layer"], base), _e4_summary),
+    Gate("autoscale", "autoscale_burst.json",
+         lambda _out: run_autoscale_gate(), compare_autoscale,
+         _autoscale_summary),
+    Gate("chaos", "chaos_goodput.json", lambda _out: run_chaos_gate(),
+         compare_chaos, _chaos_summary),
+    Gate("attribution", "attribution_drift.json",
+         lambda _out: run_attribution_gate(), compare_attribution,
+         _attribution_summary),
+    Gate("throughput", "throughput.json",
+         lambda _out: run_throughput_gate(), compare_throughput,
+         _throughput_summary),
+    Gate("overload", "overload_goodput.json",
+         lambda _out: run_overload_gate(), compare_overload,
+         _overload_summary),
+    Gate("recovery", "recovery_mttr.json",
+         lambda _out: run_recovery_gate(), compare_recovery,
+         _recovery_summary),
+    Gate("tail", "tail_drift.json", lambda _out: run_tail_gate(),
+         compare_tail, _tail_summary),
+)
+
+
+def _write_json(path: Path, doc: Doc) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns 0 (pass), 1 (regression), 2 (usage)."""
+    """CLI entry point; returns 0 (pass), 1 (violation), 2 (usage)."""
+    # Exact option names only: a prefix such as --out must not resolve
+    # to --out-dir.
     parser = argparse.ArgumentParser(
-        prog="repro.bench.regress",
-        description="E4 critical-path regression gate")
-    parser.add_argument("--baseline", type=Path,
-                        default=default_baseline_path(),
-                        help="baseline JSON to compare against")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the current critical-path JSON here")
-    parser.add_argument("--metrics-out", type=Path, default=None,
-                        help="write the run's labeled-metrics JSON here")
+        prog="repro.bench.regress", allow_abbrev=False,
+        description="Run the behavioral regression gates against their "
+                    "checked-in baselines.")
+    parser.add_argument("--only", action="append",
+                        choices=[gate.name for gate in GATES],
+                        help="run only this gate; repeatable (default: "
+                             "every gate, in registry order)")
     parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline from this run")
-    parser.add_argument("--requests", type=int, default=REQUESTS,
-                        help="measured requests after warmup")
-    parser.add_argument("--sample-rate", type=float, default=None,
-                        help="head-sampling rate (default: trace all)")
-    parser.add_argument("--autoscale-baseline", type=Path,
-                        default=autoscale_baseline_path(),
-                        help="autoscale-gate baseline JSON")
-    parser.add_argument("--skip-autoscale", action="store_true",
-                        help="skip the autoscale controller gate")
-    parser.add_argument("--chaos-baseline", type=Path,
-                        default=chaos_baseline_path(),
-                        help="chaos-gate baseline JSON")
-    parser.add_argument("--skip-chaos", action="store_true",
-                        help="skip the chaos failure-semantics gate")
-    parser.add_argument("--only-chaos", action="store_true",
-                        help="run only the chaos gate (CI chaos-gate job)")
-    parser.add_argument("--chaos-out", type=Path, default=None,
-                        help="write the current chaos-gate JSON here")
-    parser.add_argument("--attribution-baseline", type=Path,
-                        default=attribution_baseline_path(),
-                        help="attribution-gate baseline JSON")
-    parser.add_argument("--skip-attribution", action="store_true",
-                        help="skip the E22 attribution feedback gate")
-    parser.add_argument("--only-attribution", action="store_true",
-                        help="run only the attribution gate "
-                             "(CI attribution-gate job)")
-    parser.add_argument("--attribution-out", type=Path, default=None,
-                        help="write the current attribution-gate JSON here")
-    parser.add_argument("--throughput-baseline", type=Path,
-                        default=throughput_baseline_path(),
-                        help="throughput-gate baseline JSON")
-    parser.add_argument("--skip-throughput", action="store_true",
-                        help="skip the hot-loop throughput gate")
-    parser.add_argument("--only-throughput", action="store_true",
-                        help="run only the throughput gate "
-                             "(CI throughput-gate job)")
-    parser.add_argument("--throughput-out", type=Path, default=None,
-                        help="write the current throughput-gate JSON here")
-    parser.add_argument("--throughput-repeat", type=int, default=2,
-                        help="timing repeats per stack; fastest wins "
-                             "(default 2)")
-    parser.add_argument("--overload-baseline", type=Path,
-                        default=overload_baseline_path(),
-                        help="overload-gate baseline JSON")
-    parser.add_argument("--skip-overload", action="store_true",
-                        help="skip the E24 front-door overload gate")
-    parser.add_argument("--only-overload", action="store_true",
-                        help="run only the overload gate "
-                             "(CI overload-gate job)")
-    parser.add_argument("--overload-out", type=Path, default=None,
-                        help="write the current overload-gate JSON here")
-    parser.add_argument("--recovery-baseline", type=Path,
-                        default=recovery_baseline_path(),
-                        help="recovery-gate baseline JSON")
-    parser.add_argument("--skip-recovery", action="store_true",
-                        help="skip the E25 chaos-storm recovery gate")
-    parser.add_argument("--only-recovery", action="store_true",
-                        help="run only the recovery gate "
-                             "(CI recovery-gate job)")
-    parser.add_argument("--recovery-out", type=Path, default=None,
-                        help="write the current recovery-gate JSON here")
-    parser.add_argument("--tail-baseline", type=Path,
-                        default=tail_baseline_path(),
-                        help="tail-gate baseline JSON")
-    parser.add_argument("--skip-tail", action="store_true",
-                        help="skip the E26 tail-pipeline gate")
-    parser.add_argument("--only-tail", action="store_true",
-                        help="run only the tail gate "
-                             "(CI tail-gate job)")
-    parser.add_argument("--tail-out", type=Path, default=None,
-                        help="write the current tail-gate JSON here")
+                        help="rewrite the selected baselines from this "
+                             "run")
+    parser.add_argument("--baseline-dir", type=Path, default=BASELINE_DIR,
+                        help="directory holding the baseline JSON files "
+                             "(default: benchmarks/baselines)")
+    parser.add_argument("--out-dir", type=Path, default=None,
+                        help="write each selected gate's JSON here as "
+                             "<name>.json")
     args = parser.parse_args(argv)
-    if args.only_chaos and args.skip_chaos:
-        parser.error("--only-chaos and --skip-chaos are exclusive")
-    if args.only_attribution and args.skip_attribution:
-        parser.error("--only-attribution and --skip-attribution are "
-                     "exclusive")
-    if args.only_throughput and args.skip_throughput:
-        parser.error("--only-throughput and --skip-throughput are "
-                     "exclusive")
-    if args.only_overload and args.skip_overload:
-        parser.error("--only-overload and --skip-overload are "
-                     "exclusive")
-    if args.only_recovery and args.skip_recovery:
-        parser.error("--only-recovery and --skip-recovery are "
-                     "exclusive")
-    if args.only_tail and args.skip_tail:
-        parser.error("--only-tail and --skip-tail are exclusive")
-    only_flags = [args.only_chaos, args.only_attribution,
-                  args.only_throughput, args.only_overload,
-                  args.only_recovery, args.only_tail]
-    if sum(only_flags) > 1:
-        parser.error("--only-chaos, --only-attribution, "
-                     "--only-throughput, --only-overload, "
-                     "--only-recovery and --only-tail are exclusive")
-    if args.throughput_repeat < 1:
-        parser.error("--throughput-repeat must be >= 1")
-    if args.requests < 1:
-        parser.error("--requests must be >= 1")
-    if args.sample_rate is not None \
-            and not 0.0 <= args.sample_rate <= 1.0:
-        parser.error("--sample-rate must be in [0, 1]")
+    gates = [gate for gate in GATES
+             if args.only is None or gate.name in args.only]
 
-    only_other = args.only_chaos or args.only_attribution \
-        or args.only_throughput or args.only_overload \
-        or args.only_recovery or args.only_tail
-    doc = None
-    by_layer: Dict[str, float] = {}
-    if not only_other:
-        cloud, by_name, by_layer = run_pinned_e4(
-            requests=args.requests, sample_rate=args.sample_rate)
-        doc = baseline_doc(by_layer, by_name, args.requests)
-
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(json.dumps(doc, indent=2, sort_keys=True)
-                                + "\n", encoding="utf-8")
-            print(f"critical-path totals written to {args.out}")
-        if args.metrics_out is not None:
-            args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
-            cloud.metrics.write_json(str(args.metrics_out),
-                                     now=cloud.sim.now)
-            print(f"labeled metrics written to {args.metrics_out}")
-
-    autoscale_doc = None \
-        if (args.skip_autoscale or only_other) else run_autoscale_gate()
-    chaos_doc = None if (args.skip_chaos or args.only_attribution
-                         or args.only_throughput or args.only_overload
-                         or args.only_recovery or args.only_tail) \
-        else run_chaos_gate()
-    if args.chaos_out is not None and chaos_doc is not None:
-        args.chaos_out.parent.mkdir(parents=True, exist_ok=True)
-        args.chaos_out.write_text(
-            json.dumps(chaos_doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"chaos-gate results written to {args.chaos_out}")
-    attribution_doc = None \
-        if (args.skip_attribution or args.only_chaos
-            or args.only_throughput or args.only_overload
-            or args.only_recovery or args.only_tail) \
-        else run_attribution_gate()
-    if args.attribution_out is not None and attribution_doc is not None:
-        args.attribution_out.parent.mkdir(parents=True, exist_ok=True)
-        args.attribution_out.write_text(
-            json.dumps(attribution_doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"attribution-gate results written to "
-              f"{args.attribution_out}")
-    throughput_doc = None \
-        if (args.skip_throughput or args.only_chaos
-            or args.only_attribution or args.only_overload
-            or args.only_recovery or args.only_tail) \
-        else run_throughput_gate(repeat=args.throughput_repeat)
-    if args.throughput_out is not None and throughput_doc is not None:
-        args.throughput_out.parent.mkdir(parents=True, exist_ok=True)
-        args.throughput_out.write_text(
-            json.dumps(throughput_doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"throughput-gate results written to {args.throughput_out}")
-    overload_doc = None \
-        if (args.skip_overload or args.only_chaos
-            or args.only_attribution or args.only_throughput
-            or args.only_recovery or args.only_tail) \
-        else run_overload_gate()
-    if args.overload_out is not None and overload_doc is not None:
-        args.overload_out.parent.mkdir(parents=True, exist_ok=True)
-        args.overload_out.write_text(
-            json.dumps(overload_doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"overload-gate results written to {args.overload_out}")
-    recovery_doc = None \
-        if (args.skip_recovery or args.only_chaos
-            or args.only_attribution or args.only_throughput
-            or args.only_overload or args.only_tail) \
-        else run_recovery_gate()
-    if args.recovery_out is not None and recovery_doc is not None:
-        args.recovery_out.parent.mkdir(parents=True, exist_ok=True)
-        args.recovery_out.write_text(
-            json.dumps(recovery_doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"recovery-gate results written to {args.recovery_out}")
-    tail_doc = None \
-        if (args.skip_tail or args.only_chaos
-            or args.only_attribution or args.only_throughput
-            or args.only_overload or args.only_recovery) \
-        else run_tail_gate()
-    if args.tail_out is not None and tail_doc is not None:
-        args.tail_out.parent.mkdir(parents=True, exist_ok=True)
-        args.tail_out.write_text(
-            json.dumps(tail_doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"tail-gate results written to {args.tail_out}")
-
-    if args.update:
-        if doc is not None:
-            args.baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.baseline.write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-            print(f"baseline updated: {args.baseline}")
-        if autoscale_doc is not None:
-            args.autoscale_baseline.parent.mkdir(parents=True,
-                                                 exist_ok=True)
-            args.autoscale_baseline.write_text(
-                json.dumps(autoscale_doc, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-            print(f"baseline updated: {args.autoscale_baseline}")
-        if chaos_doc is not None:
-            args.chaos_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.chaos_baseline.write_text(
-                json.dumps(chaos_doc, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-            print(f"baseline updated: {args.chaos_baseline}")
-        if attribution_doc is not None:
-            args.attribution_baseline.parent.mkdir(parents=True,
-                                                   exist_ok=True)
-            args.attribution_baseline.write_text(
-                json.dumps(attribution_doc, indent=2, sort_keys=True)
-                + "\n", encoding="utf-8")
-            print(f"baseline updated: {args.attribution_baseline}")
-        if throughput_doc is not None:
-            args.throughput_baseline.parent.mkdir(parents=True,
-                                                  exist_ok=True)
-            args.throughput_baseline.write_text(
-                json.dumps(throughput_doc, indent=2, sort_keys=True)
-                + "\n", encoding="utf-8")
-            print(f"baseline updated: {args.throughput_baseline}")
-        if overload_doc is not None:
-            args.overload_baseline.parent.mkdir(parents=True,
-                                                exist_ok=True)
-            args.overload_baseline.write_text(
-                json.dumps(overload_doc, indent=2, sort_keys=True)
-                + "\n", encoding="utf-8")
-            print(f"baseline updated: {args.overload_baseline}")
-        if recovery_doc is not None:
-            args.recovery_baseline.parent.mkdir(parents=True,
-                                                exist_ok=True)
-            args.recovery_baseline.write_text(
-                json.dumps(recovery_doc, indent=2, sort_keys=True)
-                + "\n", encoding="utf-8")
-            print(f"baseline updated: {args.recovery_baseline}")
-        if tail_doc is not None:
-            args.tail_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.tail_baseline.write_text(
-                json.dumps(tail_doc, indent=2, sort_keys=True)
-                + "\n", encoding="utf-8")
-            print(f"baseline updated: {args.tail_baseline}")
-        return 0
+    missing = [args.baseline_dir / gate.baseline for gate in gates
+               if not (args.baseline_dir / gate.baseline).exists()]
+    if missing and not args.update:
+        for path in missing:
+            print(f"no baseline at {path}; run with --update first",
+                  file=sys.stderr)
+        return 2
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
 
     violations: List[str] = []
-    if doc is not None:
-        if not args.baseline.exists():
-            print(f"no baseline at {args.baseline}; run with --update "
-                  "first", file=sys.stderr)
-            return 2
-        baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
-        if args.requests != baseline.get("requests", REQUESTS):
-            print("warning: request count differs from the baseline run; "
-                  "totals are not comparable", file=sys.stderr)
-
-        for layer, secs in sorted(by_layer.items(),
-                                  key=lambda kv: -kv[1]):
-            base = baseline["by_layer"].get(layer, 0.0)
-            print(f"  {layer:<10} {secs * 1e3:9.3f} ms "
-                  f"(baseline {base * 1e3:9.3f} ms)")
-        violations += compare(by_layer, baseline)
-
-    if autoscale_doc is not None:
-        if not args.autoscale_baseline.exists():
-            print(f"no baseline at {args.autoscale_baseline}; "
-                  "run with --update first", file=sys.stderr)
-            return 2
-        autoscale_baseline = json.loads(
-            args.autoscale_baseline.read_text(encoding="utf-8"))
-        print(f"  autoscale  cold {autoscale_doc['fixed']['cold_starts']} "
-              f"(fixed) -> {autoscale_doc['controlled']['cold_starts']} "
-              f"(queue-depth), "
-              f"-{autoscale_doc['cold_start_reduction']:.1%}")
-        violations += compare_autoscale(autoscale_doc, autoscale_baseline)
-
-    if chaos_doc is not None:
-        if not args.chaos_baseline.exists():
-            print(f"no baseline at {args.chaos_baseline}; "
-                  "run with --update first", file=sys.stderr)
-            return 2
-        chaos_baseline = json.loads(
-            args.chaos_baseline.read_text(encoding="utf-8"))
-        print(f"  chaos      goodput "
-              f"{chaos_doc['naive']['goodput']:.1%} (naive) -> "
-              f"{chaos_doc['hardened']['goodput']:.1%} (hardened), "
-              f"{chaos_doc['naive']['faults_injected']} faults, "
-              f"gray p99 {chaos_doc['unhedged']['p99_s'] * 1e3:.1f} ms -> "
-              f"{chaos_doc['hedged']['p99_s'] * 1e3:.1f} ms hedged")
-        violations += compare_chaos(chaos_doc, chaos_baseline)
-
-    if attribution_doc is not None:
-        if not args.attribution_baseline.exists():
-            print(f"no baseline at {args.attribution_baseline}; "
-                  "run with --update first", file=sys.stderr)
-            return 2
-        attribution_baseline = json.loads(
-            args.attribution_baseline.read_text(encoding="utf-8"))
-        print(f"  attribution  post-drift "
-              f"{attribution_doc['static']['phase2_mean_s'] * 1e3:.1f} ms "
-              f"(static) -> "
-              f"{attribution_doc['ema']['phase2_mean_s'] * 1e3:.1f} ms "
-              f"(observed), oracle "
-              f"{attribution_doc['oracle_phase2_mean_s'] * 1e3:.1f} ms, "
-              f"gap closed {attribution_doc['gap_closed']:.1%}")
-        violations += compare_attribution(attribution_doc,
-                                          attribution_baseline)
-
-    if throughput_doc is not None:
-        if not args.throughput_baseline.exists():
-            print(f"no baseline at {args.throughput_baseline}; "
-                  "run with --update first", file=sys.stderr)
-            return 2
-        throughput_baseline = json.loads(
-            args.throughput_baseline.read_text(encoding="utf-8"))
-        print(f"  throughput "
-              f"{throughput_doc['current_events_per_sec']:,.0f} ev/s "
-              f"(current) vs "
-              f"{throughput_doc['reference_events_per_sec']:,.0f} ev/s "
-              f"(pre-refactor), {throughput_doc['speedup']:.2f}x, "
-              f"{throughput_doc['invokes_per_sec']:,.0f} invokes/s")
-        violations += compare_throughput(throughput_doc,
-                                         throughput_baseline)
-
-    if overload_doc is not None:
-        if not args.overload_baseline.exists():
-            print(f"no baseline at {args.overload_baseline}; "
-                  "run with --update first", file=sys.stderr)
-            return 2
-        overload_baseline = json.loads(
-            args.overload_baseline.read_text(encoding="utf-8"))
-        print(f"  overload   goodput at 4x: "
-              f"{overload_doc['none_fraction_at_top']:.1%} of peak "
-              f"(unprotected) vs "
-              f"{overload_doc['gated_fraction_at_top']:.1%} (gateway), "
-              f"Jain {overload_doc['jain_at_top']:.3f}, "
-              f"{overload_doc['scale']['tenants']} tenants OK, "
-              f"pass-through "
-              f"{'identical' if overload_doc['noadmission_identical'] else 'DIVERGED'}")
-        violations += compare_overload(overload_doc, overload_baseline)
-
-    if recovery_doc is not None:
-        if not args.recovery_baseline.exists():
-            print(f"no baseline at {args.recovery_baseline}; "
-                  "run with --update first", file=sys.stderr)
-            return 2
-        recovery_baseline = json.loads(
-            args.recovery_baseline.read_text(encoding="utf-8"))
-        on = recovery_doc["detection"]
-        print(f"  recovery   storm goodput "
-              f"{recovery_doc['none']['goodput_retention']:.1%} "
-              f"(detection off) -> {on['goodput_retention']:.1%} "
-              f"(health plane), {on['recovered']}/{on['orphaned']} "
-              f"orphans recovered, {on['ejections']} ejections, "
-              f"worst detect "
-              f"{on['detection_latency_max'] * 1e3:.0f} ms")
-        violations += compare_recovery(recovery_doc, recovery_baseline)
-
-    if tail_doc is not None:
-        if not args.tail_baseline.exists():
-            print(f"no baseline at {args.tail_baseline}; "
-                  "run with --update first", file=sys.stderr)
-            return 2
-        tail_baseline = json.loads(
-            args.tail_baseline.read_text(encoding="utf-8"))
-        ha = tail_doc["hedge_adaptive"]
-        print(f"  tail       p99 "
-              f"{tail_doc['mean']['p99_s'] * 1e3:.0f} ms "
-              f"(objective=mean) -> "
-              f"{tail_doc['p99']['p99_s'] * 1e3:.0f} ms "
-              f"(objective=p99), hedge p99 "
-              f"{tail_doc['hedge_fixed']['p99_s'] * 1e3:.0f} ms "
-              f"(fixed) -> {ha['p99_s'] * 1e3:.0f} ms (adaptive, "
-              f"{ha['launch_fraction']:.0%} launches), sketch err "
-              f"{tail_doc['sketch_rel_err']:.2%}")
-        violations += compare_tail(tail_doc, tail_baseline)
+    for gate in gates:
+        doc = gate.run(args.out_dir)
+        if args.out_dir is not None:
+            out = args.out_dir / f"{gate.name}.json"
+            _write_json(out, doc)
+            print(f"{gate.name}: results written to {out}")
+        path = args.baseline_dir / gate.baseline
+        if args.update:
+            _write_json(path, doc)
+            print(f"baseline updated: {path}")
+        baseline = json.loads(path.read_text(encoding="utf-8"))
+        violations += gate.compare(doc, baseline)
+        print(gate.summary(doc))
 
     if violations:
         print("PERF REGRESSION:", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Diff two runs' critical-path totals (A/B perf comparison).
 
-Takes two critical-path JSON artifacts (as written by
-``repro.bench.regress --out``) and prints per-span-name and per-layer
-deltas, largest absolute change first. The fastest way to answer
+Takes two critical-path JSON artifacts (the ``e4.json`` that
+``repro.bench.regress --out-dir`` writes) and prints per-span-name and
+per-layer deltas, largest absolute change first. The fastest way to answer
 "where did the 12 ms go?" between two branches::
 
     python -m repro.bench.span_diff before.json after.json

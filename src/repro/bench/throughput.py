@@ -14,7 +14,7 @@ a CI bar — runners disagree by integer factors. Instead the same
 workload runs twice in one process: once on the live stack and once on
 the frozen pre-refactor stack (:mod:`repro.bench._reference`, a
 byte-level snapshot of the seed modules). The regress gate
-(``python -m repro.bench.regress --only-throughput``) requires
+(``python -m repro.bench.regress --only throughput``) requires
 
 * ``current.events_per_sec / reference.events_per_sec >= min_speedup``
   (the committed bar is 5x), and

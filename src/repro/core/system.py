@@ -615,7 +615,7 @@ class PCSICloud:
         request up front, then runs each request through the same
         per-invoke path as :meth:`invoke` — under a pinned seed the
         outcomes are byte-identical to calling :meth:`invoke` in a
-        loop (``repro.bench.regress --only-throughput`` pins this).
+        loop (``repro.bench.regress --only throughput`` pins this).
         Use it for invoke storms where per-call resolution overhead
         matters; see :meth:`FunctionScheduler.invoke_many
         <repro.core.scheduler.FunctionScheduler.invoke_many>` for the

@@ -4,17 +4,12 @@ import json
 
 import pytest
 
-from repro.bench.regress import (
-    attribution_baseline_path,
-    compare_attribution,
-    main,
-    run_attribution_gate,
-)
+from repro.bench.regress import BASELINE_DIR, compare_attribution, main
 
 
 @pytest.fixture(scope="module")
-def attribution_doc():
-    return run_attribution_gate()
+def attribution_doc(gate_doc):
+    return gate_doc("attribution")
 
 
 def test_gate_meets_its_own_bar(attribution_doc):
@@ -31,17 +26,9 @@ def test_gate_meets_its_own_bar(attribution_doc):
 
 def test_gate_matches_checked_in_baseline(attribution_doc):
     """The repo baseline is fresh: a clean checkout replays it exactly."""
-    baseline = json.loads(
-        attribution_baseline_path().read_text(encoding="utf-8"))
+    baseline = json.loads((BASELINE_DIR / "attribution_drift.json")
+                          .read_text(encoding="utf-8"))
     assert compare_attribution(attribution_doc, baseline) == []
-
-
-def test_compare_flags_decision_drift(attribution_doc):
-    base = json.loads(json.dumps(attribution_doc))
-    base["ema"]["decision_fingerprint"] = "0" * 16
-    violations = compare_attribution(attribution_doc, base)
-    assert len(violations) == 1
-    assert "ema.decision_fingerprint" in violations[0]
 
 
 def test_compare_flags_latency_drift(attribution_doc):
@@ -73,32 +60,31 @@ def test_compare_flags_static_arm_leaving_npu(attribution_doc):
 
 
 def test_cli_only_attribution_update_then_compare_and_perturb(tmp_path):
-    ab = tmp_path / "attribution.json"
-    out = tmp_path / "attribution_out.json"
-    assert main(["--only-attribution", "--update",
-                 "--attribution-baseline", str(ab)]) == 0
+    attribution = ["--only", "attribution", "--baseline-dir", str(tmp_path)]
+    out = tmp_path / "out"
+    assert main(attribution + ["--update"]) == 0
+    ab = tmp_path / "attribution_drift.json"
     doc = json.loads(ab.read_text())
     assert doc["gap_closed"] >= doc["min_gap_closed"]
-    assert main(["--only-attribution",
-                 "--attribution-baseline", str(ab),
-                 "--attribution-out", str(out)]) == 0
-    assert json.loads(out.read_text())["ema"]["decision_fingerprint"]
+    assert main(attribution + ["--out-dir", str(out)]) == 0
+    assert json.loads((out / "attribution.json").read_text())[
+        "ema"]["decision_fingerprint"]
 
     # Perturb a pinned fingerprint: the gate must fail.
     doc["static"]["decision_fingerprint"] = "f" * 16
     ab.write_text(json.dumps(doc))
-    assert main(["--only-attribution",
-                 "--attribution-baseline", str(ab)]) == 1
+    assert main(attribution) == 1
 
 
 def test_cli_missing_attribution_baseline_is_usage_error(tmp_path):
-    assert main(["--only-attribution",
-                 "--attribution-baseline",
-                 str(tmp_path / "nope.json")]) == 2
+    assert main(["--only", "attribution",
+                 "--baseline-dir", str(tmp_path / "nope")]) == 2
 
 
 def test_cli_only_and_skip_attribution_are_exclusive():
+    """There is no ``--skip``, and the removed per-gate flags are not
+    aliases of ``--only``."""
     with pytest.raises(SystemExit):
-        main(["--only-attribution", "--skip-attribution"])
+        main(["--only", "attribution", "--skip", "attribution"])
     with pytest.raises(SystemExit):
-        main(["--only-attribution", "--only-chaos"])
+        main(["--only-attribution"])

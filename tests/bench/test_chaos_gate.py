@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from repro.bench.regress import compare_chaos, main, run_chaos_gate
+from repro.bench.regress import compare_chaos, main
 
 
 @pytest.fixture(scope="module")
-def chaos_doc():
-    return run_chaos_gate()
+def chaos_doc(gate_doc):
+    return gate_doc("chaos")
 
 
 def test_chaos_gate_meets_its_own_bar(chaos_doc):
@@ -23,13 +23,6 @@ def test_chaos_gate_meets_its_own_bar(chaos_doc):
     assert chaos_doc["hedged"]["p99_s"] < chaos_doc["unhedged"]["p99_s"]
     assert chaos_doc["replay_identical"] is True
     assert chaos_doc["naive"]["faults_injected"] > 0
-
-
-def test_compare_chaos_flags_pinned_count_drift(chaos_doc):
-    base = json.loads(json.dumps(chaos_doc))
-    base["hardened"]["ok"] += 1
-    violations = compare_chaos(chaos_doc, base)
-    assert any("hardened.ok" in v for v in violations)
 
 
 def test_compare_chaos_flags_outcome_fingerprint_drift(chaos_doc):
@@ -66,27 +59,31 @@ def test_compare_chaos_flags_broken_replay(chaos_doc):
 
 
 def test_cli_only_chaos_update_then_compare_and_perturb(tmp_path):
-    cb = tmp_path / "chaos.json"
-    out = tmp_path / "chaos_out.json"
-    assert main(["--only-chaos", "--update",
-                 "--chaos-baseline", str(cb)]) == 0
+    chaos = ["--only", "chaos", "--baseline-dir", str(tmp_path)]
+    out = tmp_path / "out"
+    assert main(chaos + ["--update"]) == 0
+    cb = tmp_path / "chaos_goodput.json"
     doc = json.loads(cb.read_text())
     assert doc["hardened"]["goodput"] > doc["naive"]["goodput"]
-    assert main(["--only-chaos", "--chaos-baseline", str(cb),
-                 "--chaos-out", str(out)]) == 0
-    assert json.loads(out.read_text())["replay_identical"] is True
+    assert main(chaos + ["--out-dir", str(out)]) == 0
+    assert json.loads((out / "chaos.json").read_text())[
+        "replay_identical"] is True
 
     # Perturb a pinned count: the gate must fail.
     doc["hardened"]["offered"] += 1
     cb.write_text(json.dumps(doc))
-    assert main(["--only-chaos", "--chaos-baseline", str(cb)]) == 1
+    assert main(chaos) == 1
 
 
 def test_cli_missing_chaos_baseline_is_usage_error(tmp_path):
-    assert main(["--only-chaos",
-                 "--chaos-baseline", str(tmp_path / "nope.json")]) == 2
+    assert main(["--only", "chaos",
+                 "--baseline-dir", str(tmp_path / "nope")]) == 2
 
 
 def test_cli_rejects_contradictory_flags():
+    """Gate selection is ``--only NAME`` alone: no ``--skip``, and the
+    old per-gate flags are gone rather than aliased."""
+    with pytest.raises(SystemExit):
+        main(["--only", "chaos", "--skip", "chaos"])
     with pytest.raises(SystemExit):
         main(["--only-chaos", "--skip-chaos"])

@@ -11,7 +11,6 @@ from repro.bench.regress import (
     fold_layers,
     layer_of,
     main,
-    run_autoscale_gate,
     run_pinned_e4,
 )
 
@@ -87,11 +86,11 @@ def test_compare_missing_and_new_layers():
     assert "other" in violations[0]
 
 
-# -- pinned run + CLI (one small E4 run, reused) -------------------------
+# -- pinned run + CLI (one E4 run, reused) -------------------------------
 
 @pytest.fixture(scope="module")
 def small_run():
-    return run_pinned_e4(requests=1)
+    return run_pinned_e4()
 
 
 def test_pinned_run_produces_layer_totals(small_run):
@@ -111,43 +110,31 @@ def test_pinned_run_emits_labeled_metrics(small_run):
 
 
 def test_cli_update_then_compare_and_perturb(tmp_path):
-    baseline = tmp_path / "base.json"
-    out = tmp_path / "cp.json"
-    metrics = tmp_path / "metrics.json"
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--update", "--skip-autoscale",
-                 "--baseline", str(baseline)]) == 0
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--skip-autoscale",
-                 "--baseline", str(baseline),
-                 "--out", str(out), "--metrics-out", str(metrics)]) == 0
-    assert json.loads(out.read_text())["by_layer"]
-    assert json.loads(metrics.read_text())["counters"]
+    out = tmp_path / "out"
+    e4 = ["--only", "e4", "--baseline-dir", str(tmp_path)]
+    assert main(e4 + ["--update"]) == 0
+    assert main(e4 + ["--out-dir", str(out)]) == 0
+    assert json.loads((out / "e4.json").read_text())["by_layer"]
+    assert json.loads((out / "e4_metrics.json").read_text())["counters"]
 
     # Perturb one layer in the baseline: the gate must fail.
+    baseline = tmp_path / "e4_critical_path.json"
     doc = json.loads(baseline.read_text())
     doc["by_layer"]["network"] *= 2.0
     baseline.write_text(json.dumps(doc))
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--skip-autoscale",
-                 "--baseline", str(baseline)]) == 1
+    assert main(e4) == 1
 
 
 def test_cli_missing_baseline_is_usage_error(tmp_path):
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--skip-autoscale",
-                 "--baseline", str(tmp_path / "nope.json")]) == 2
+    assert main(["--only", "e4",
+                 "--baseline-dir", str(tmp_path / "nope")]) == 2
 
 
 # -- the autoscale sub-gate ------------------------------------------------
 
 @pytest.fixture(scope="module")
-def autoscale_doc():
-    return run_autoscale_gate()
+def autoscale_doc(gate_doc):
+    return gate_doc("autoscale")
 
 
 def test_autoscale_gate_meets_its_own_bar(autoscale_doc):
@@ -158,14 +145,6 @@ def test_autoscale_gate_meets_its_own_bar(autoscale_doc):
         >= autoscale_doc["min_reduction"]
     assert autoscale_doc["controlled"]["cold_starts"] \
         < autoscale_doc["fixed"]["cold_starts"]
-
-
-def test_compare_autoscale_flags_pinned_field_drift(autoscale_doc):
-    base = json.loads(json.dumps(autoscale_doc))
-    base["controlled"]["cold_starts"] += 1
-    violations = compare_autoscale(autoscale_doc, base)
-    assert len(violations) == 1
-    assert "controlled.cold_starts" in violations[0]
 
 
 def test_compare_autoscale_flags_weak_reduction(autoscale_doc):
@@ -186,36 +165,21 @@ def test_compare_autoscale_flags_pools_that_never_drain(autoscale_doc):
 
 
 def test_cli_autoscale_update_then_compare_and_perturb(tmp_path):
-    e4 = tmp_path / "e4.json"
-    asb = tmp_path / "autoscale.json"
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--update", "--baseline", str(e4),
-                 "--autoscale-baseline", str(asb)]) == 0
+    autoscale = ["--only", "autoscale", "--baseline-dir", str(tmp_path)]
+    assert main(autoscale + ["--update"]) == 0
+    asb = tmp_path / "autoscale_burst.json"
     doc = json.loads(asb.read_text())
     assert doc["controlled"]["cold_starts"] < doc["fixed"]["cold_starts"]
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--baseline", str(e4),
-                 "--autoscale-baseline", str(asb)]) == 0
+    assert main(autoscale) == 0
 
     # Perturb a pinned arm field: the gate must fail.
     doc["controlled"]["cold_starts"] += 5
     asb.write_text(json.dumps(doc))
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--baseline", str(e4),
-                 "--autoscale-baseline", str(asb)]) == 1
+    assert main(autoscale) == 1
 
 
 def test_cli_missing_autoscale_baseline_is_usage_error(tmp_path):
-    e4 = tmp_path / "e4.json"
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--update", "--skip-autoscale",
-                 "--baseline", str(e4)]) == 0
-    assert main(["--requests", "1", "--skip-chaos", "--skip-attribution",
-                 "--skip-throughput",
-                 "--baseline", str(e4),
-                 "--autoscale-baseline",
-                 str(tmp_path / "nope.json")]) == 2
+    assert main(["--only", "e4", "--update",
+                 "--baseline-dir", str(tmp_path)]) == 0
+    assert main(["--only", "e4", "--only", "autoscale",
+                 "--baseline-dir", str(tmp_path)]) == 2

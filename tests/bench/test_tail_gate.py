@@ -4,17 +4,12 @@ import json
 
 import pytest
 
-from repro.bench.regress import (
-    compare_tail,
-    main,
-    run_tail_gate,
-    tail_baseline_path,
-)
+from repro.bench.regress import BASELINE_DIR, compare_tail, main
 
 
 @pytest.fixture(scope="module")
-def tail_doc():
-    return run_tail_gate()
+def tail_doc(gate_doc):
+    return gate_doc("tail")
 
 
 def test_gate_meets_its_own_bar(tail_doc):
@@ -31,17 +26,9 @@ def test_gate_meets_its_own_bar(tail_doc):
 
 def test_gate_matches_checked_in_baseline(tail_doc):
     """The repo baseline is fresh: a clean checkout replays it exactly."""
-    baseline = json.loads(
-        tail_baseline_path().read_text(encoding="utf-8"))
+    baseline = json.loads((BASELINE_DIR / "tail_drift.json")
+                          .read_text(encoding="utf-8"))
     assert compare_tail(tail_doc, baseline) == []
-
-
-def test_compare_flags_decision_drift(tail_doc):
-    base = json.loads(json.dumps(tail_doc))
-    base["p99"]["decision_fingerprint"] = "0" * 16
-    violations = compare_tail(tail_doc, base)
-    assert len(violations) == 1
-    assert "p99.decision_fingerprint" in violations[0]
 
 
 def test_compare_flags_latency_drift(tail_doc):
@@ -85,29 +72,31 @@ def test_compare_flags_sketch_accuracy_regression(tail_doc):
 
 
 def test_cli_only_tail_update_then_compare_and_perturb(tmp_path):
-    tb = tmp_path / "tail.json"
-    out = tmp_path / "tail_out.json"
-    assert main(["--only-tail", "--update",
-                 "--tail-baseline", str(tb)]) == 0
+    tail = ["--only", "tail", "--baseline-dir", str(tmp_path)]
+    out = tmp_path / "out"
+    assert main(tail + ["--update"]) == 0
+    tb = tmp_path / "tail_drift.json"
     doc = json.loads(tb.read_text())
     assert doc["p99"]["flip_index"] is not None
-    assert main(["--only-tail", "--tail-baseline", str(tb),
-                 "--tail-out", str(out)]) == 0
-    assert json.loads(out.read_text())["p99"]["decision_fingerprint"]
+    assert main(tail + ["--out-dir", str(out)]) == 0
+    assert json.loads((out / "tail.json").read_text())[
+        "p99"]["decision_fingerprint"]
 
     # Perturb a pinned fingerprint: the gate must fail.
     doc["mean"]["latency_fingerprint"] = "f" * 16
     tb.write_text(json.dumps(doc))
-    assert main(["--only-tail", "--tail-baseline", str(tb)]) == 1
+    assert main(tail) == 1
 
 
 def test_cli_missing_tail_baseline_is_usage_error(tmp_path):
-    assert main(["--only-tail",
-                 "--tail-baseline", str(tmp_path / "nope.json")]) == 2
+    assert main(["--only", "tail",
+                 "--baseline-dir", str(tmp_path / "nope")]) == 2
 
 
 def test_cli_only_and_skip_tail_are_exclusive():
+    """There is no ``--skip``, and the removed per-gate flags are not
+    aliases of ``--only``."""
     with pytest.raises(SystemExit):
-        main(["--only-tail", "--skip-tail"])
+        main(["--only", "tail", "--skip", "tail"])
     with pytest.raises(SystemExit):
-        main(["--only-tail", "--only-attribution"])
+        main(["--only-tail"])
