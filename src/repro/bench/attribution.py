@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.sketch import QuantileSketch
 from ..sim.trace import Span, Tracer
-from .critical_path import critical_path
+from .critical_path import path_segments
 
 #: The components every attribution vector decomposes into. They
 #: partition the invoke span's duration exactly (critical-path
@@ -196,10 +196,7 @@ class LatencyAttributor:
         node = span.attributes.get("node")
         node_class = self.node_class_fn(node) if node is not None \
             else "all"
-        report = critical_path(self.tracer, span)
-        vector = {comp: 0.0 for comp in COMPONENTS}
-        for seg in report.segments:
-            vector[component_of(seg.span.name)] += seg.contribution
+        vector = self.decompose(span)
         cold = bool(span.attributes.get("cold"))
         key = (str(fn), str(impl), node_class)
         stats = self._stats.get(key)
@@ -207,6 +204,20 @@ class LatencyAttributor:
             stats = self._stats[key] = AttributionStats()
         stats.update(vector, cold, self.alpha)
         self.observed_invokes += 1
+
+    def decompose(self, span: Span) -> Dict[str, float]:
+        """One finished invoke span's attribution vector.
+
+        Sums the critical path's segments per component, in
+        chronological order, straight off the walk's tuples (no
+        :class:`~repro.bench.critical_path.CriticalPathReport` is
+        built); the values equal summing ``critical_path(...).segments``
+        contribution by contribution, bit for bit.
+        """
+        vector = dict.fromkeys(COMPONENTS, 0.0)
+        for seg_span, lo, hi in path_segments(self.tracer, span):
+            vector[component_of(seg_span.name)] += hi - lo
+        return vector
 
     # -- queries ----------------------------------------------------------
     def _matching(self, fn: Optional[str], impl: Optional[str],

@@ -21,7 +21,7 @@ charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.trace import Span, Tracer
 
@@ -94,18 +94,33 @@ def critical_path(tracer: Tracer,
         root = roots[0]
     if not root.finished:
         raise ValueError(f"root span {root.name!r} has not ended")
-    segments: List[PathSegment] = []
-    _walk(tracer, root, root.start, root.end, segments)
-    segments.reverse()  # chronological order
+    segments = [PathSegment(span, lo, hi)
+                for span, lo, hi in path_segments(tracer, root)]
     return CriticalPathReport(root=root, segments=segments)
 
 
+def path_segments(tracer: Tracer,
+                  root: Span) -> List[Tuple[Span, float, float]]:
+    """The critical path of a finished ``root`` as plain tuples.
+
+    ``(span, start, end)`` per segment, in chronological order: the
+    same segments :func:`critical_path` wraps in :class:`PathSegment`,
+    without the per-segment objects — the form online consumers
+    (:class:`~repro.bench.attribution.LatencyAttributor`) fold per
+    invocation.
+    """
+    segments: List[Tuple[Span, float, float]] = []
+    _walk(tracer, root, root.start, root.end, segments)
+    segments.reverse()  # chronological order
+    return segments
+
+
 def _walk(tracer: Tracer, span: Span, lo: float, hi: float,
-          segments: List[PathSegment]) -> None:
+          segments: List[Tuple[Span, float, float]]) -> None:
     """Attribute the window [lo, hi] to ``span`` and its descendants.
 
-    Appends segments in reverse-chronological order (the caller flips
-    them once at the end).
+    Appends ``(span, start, end)`` segments in reverse-chronological
+    order (the caller flips them once at the end).
     """
     cursor = hi
     children = [c for c in tracer.children(span) if c.finished]
@@ -120,11 +135,11 @@ def _walk(tracer: Tracer, span: Span, lo: float, hi: float,
         if c_end < cursor:
             # Uncovered tail between this child and the last charged
             # work: the parent's own time.
-            segments.append(PathSegment(span, c_end, cursor))
+            segments.append((span, c_end, cursor))
         _walk(tracer, child, c_start, c_end, segments)
         cursor = c_start
     if cursor > lo:
-        segments.append(PathSegment(span, lo, cursor))
+        segments.append((span, lo, cursor))
 
 
 def invocation_critical_paths(tracer: Tracer) -> List[CriticalPathReport]:

@@ -14,11 +14,16 @@ simulation process parent correctly even while many processes
 interleave, and child processes spawned mid-span (quorum fan-out)
 inherit the span that spawned them.
 
-The flat ``record()``/``select()`` API survives as a back-compatible
-shim: finishing a span appends a :class:`TraceRecord` in its category,
-so legacy consumers (``sum_field("net.transfer", "nbytes")``) keep
-working unchanged. ``select()`` is served from a per-category index and
-is O(matches).
+The flat ``record()``/``select()`` API is a view over the spans:
+finishing a span appends the :class:`Span` itself to the flat log and
+to a per-category index, and ``select()``, iteration and
+``sum_field("net.transfer", "nbytes")`` build each :class:`TraceRecord`
+from its span on read. Each finished span is therefore stored once.
+The contract that makes this exact: **a span must not be mutated after
+it ends** — its end time, category and attributes *are* its flat
+record. Only ``record()`` (flat-only categories such as ``net.drop``)
+stores a :class:`TraceRecord` directly. ``select()`` is served from the
+per-category index and is O(matches).
 
 Tracing is off by default; a disabled tracer's ``span()`` returns a
 shared no-op singleton, so the hot path allocates nothing.
@@ -45,7 +50,8 @@ import json
 from collections import deque
 from sys import getrefcount
 from sys import intern as _intern
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Union)
 
 from .rng import RandomStream
 
@@ -81,11 +87,12 @@ _SPAN_POOL_LIMIT = 4096
 class TraceRecord:
     """One flat trace entry (the legacy record shape).
 
-    A slotted plain class: one record is appended per finished span,
-    so construction cost is hot-loop cost (the frozen dataclass this
-    replaced spent ~1us per instance in ``object.__setattr__``).
-    Records are value-like — equality compares fields — and must be
-    treated as immutable even though slots are technically writable.
+    A slotted plain class. Finished spans are not stored as records:
+    ``select()``, iteration and ``sum_field()`` build one from the span
+    on read (see :func:`_as_record`); only :meth:`Tracer.record` stores
+    a record directly. Records are value-like — equality compares
+    fields — and must be treated as immutable even though slots are
+    technically writable.
     """
 
     __slots__ = ("time", "category", "payload")
@@ -168,6 +175,18 @@ class Span:
                 f"name={self.name!r}, category={self.category!r}, "
                 f"start={self.start}, end={self.end}, "
                 f"status={self.status!r})")
+
+
+#: One flat-log entry: a finished span, or a ``record()`` record.
+_Entry = Union[Span, TraceRecord]
+
+
+def _as_record(entry: _Entry) -> TraceRecord:
+    """The flat record of a log entry, built from a span on read."""
+    if type(entry) is Span:
+        return TraceRecord(entry.end, entry.category,
+                           dict(entry.attributes))
+    return entry
 
 
 class _NullSpan:
@@ -478,14 +497,14 @@ class _SpanContext:
         span.end = end
         span.status = STATUS_OK
         span.error = None
-        rec = TraceRecord(end, span.category, dict(span.attributes))
-        tracer._records.append(rec)
+        # The finished span is its own flat record (built on read).
+        tracer._records.append(span)
         by_category = tracer._by_category
         bucket = by_category.get(span.category)
         if bucket is None:
-            by_category[span.category] = [rec]
+            by_category[span.category] = [span]
         else:
-            bucket.append(rec)
+            bucket.append(span)
         if span.parent_id is None and tracer._root_listeners \
                 and tracer._spans_by_id.get(span.span_id) is span:
             tracer._notify_root(span)
@@ -493,13 +512,19 @@ class _SpanContext:
 
 
 class Tracer:
-    """Span-tree trace with a flat back-compat record log.
+    """Span-tree trace with a flat record view.
 
     Tracing is off by default (``enabled=False`` constructs a no-op
     tracer) so the hot path stays cheap in large experiments. Bind a
     simulator (:meth:`bind`) for simulated-time clocks and per-process
     context propagation; unbound tracers fall back to an explicit
     ``clock`` callable (or time 0) and a single shared context.
+
+    The flat log holds each finished span once, in end order, next to
+    the records :meth:`record` appends; :meth:`select`, iteration and
+    :meth:`sum_field` read the span's end time, category and attributes
+    at call time. Code that holds a span must therefore not change its
+    attributes after the span ends.
     """
 
     def __init__(self, enabled: bool = True,
@@ -510,8 +535,10 @@ class Tracer:
         self._categories = set(categories) if categories else None
         self._clock = clock
         self._sim = None
-        self._records: List[TraceRecord] = []
-        self._by_category: Dict[str, List[TraceRecord]] = {}
+        #: The flat log, in end order: finished spans (read as records
+        #: through :func:`_as_record`) and ``record()``'s records.
+        self._records: List[_Entry] = []
+        self._by_category: Dict[str, List[_Entry]] = {}
         #: The span store: insertion-ordered (= start-ordered) dict.
         #: There is deliberately no parallel list — discarding a
         #: sampled-out tree must be O(tree), not O(all spans).
@@ -522,7 +549,7 @@ class Tracer:
         self._sampler = sampler
         self._unsampled_cm = _UnsampledRootContext(self)
         #: Finished spans of still-undecided deferred trees, by root
-        #: id; their flat records materialize only if the tree is kept.
+        #: id; they join the flat log only if the tree is kept.
         self._deferred_records: Dict[int, List[Span]] = {}
         #: Freelist of discarded spans (only ever *finished* spans from
         #: dropped deferred trees). Entries may still be referenced by
@@ -734,10 +761,10 @@ class Tracer:
     def end_span(self, span: Span, time: Optional[float] = None,
                  status: str = STATUS_OK,
                  error: Optional[str] = None) -> Span:
-        """Close a span and emit its back-compat flat record.
+        """Close a span and append it to the flat log.
 
-        Spans inside a *deferred* (keep-on-error) tree buffer their
-        records until the root closes and the tree's fate is known.
+        Spans inside a *deferred* (keep-on-error) tree are buffered
+        until the root closes and the tree's fate is known.
         """
         if span is None or span is NULL_SPAN:
             return span
@@ -770,17 +797,14 @@ class Tracer:
                         return span
                     node = parent
                 if node.sampling == DEFER:
-                    # Buffer the span itself; its flat record
-                    # materializes only if the tree is kept (dropped
-                    # trees then cost no record or payload-copy
-                    # allocations at all).
+                    # Buffer the span; it joins the flat log only if
+                    # the tree is kept.
                     self._deferred_records.setdefault(
                         node.span_id, []).append(span)
                     return span
                 # Root already resolved as kept ("error_tail"): this
                 # late child records normally below.
-        self._append_record(
-            TraceRecord(span.end, span.category, dict(span.attributes)))
+        self._append_record(span)
         if span.parent_id is None and self._root_listeners \
                 and self._spans_by_id.get(span.span_id) is span:
             self._notify_root(span)
@@ -793,8 +817,7 @@ class Tracer:
             root.sampling = "error_tail"
             self.deferred_kept += 1
             for span in finished:
-                self._append_record(TraceRecord(span.end, span.category,
-                                                dict(span.attributes)))
+                self._append_record(span)
             self._notify_root(root)
         else:
             self.deferred_dropped += 1
@@ -883,7 +906,7 @@ class Tracer:
             return 0
         return 1 + max(self.depth_of(k) for k in kids)
 
-    # -- flat records (back-compat shim) ---------------------------------
+    # -- flat records (a view over finished spans) -----------------------
     def record(self, time: float, category: str, **payload: Any) -> None:
         """Append a flat record (no-op if disabled or filtered out)."""
         if not self.enabled:
@@ -892,15 +915,15 @@ class Tracer:
             return
         self._append_record(TraceRecord(time, category, payload))
 
-    def _append_record(self, rec: TraceRecord) -> None:
-        self._records.append(rec)
-        self._by_category.setdefault(rec.category, []).append(rec)
+    def _append_record(self, entry: _Entry) -> None:
+        self._records.append(entry)
+        self._by_category.setdefault(entry.category, []).append(entry)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return map(_as_record, self._records)
 
     def select(self, category: str,
                predicate: Optional[Callable[[TraceRecord], bool]] = None
@@ -910,15 +933,16 @@ class Tracer:
         Served from the per-category index: repeated selects cost
         O(matches), not O(all records).
         """
-        out = self._by_category.get(category, [])
+        out = map(_as_record, self._by_category.get(category, ()))
         if predicate is not None:
             return [r for r in out if predicate(r)]
         return list(out)
 
     def sum_field(self, category: str, fieldname: str) -> float:
         """Sum a numeric payload field over a category."""
-        return sum(r.payload.get(fieldname, 0.0)
-                   for r in self._by_category.get(category, ()))
+        return sum((e.attributes if type(e) is Span else e.payload)
+                   .get(fieldname, 0.0)
+                   for e in self._by_category.get(category, ()))
 
     def clear(self) -> None:
         """Drop all records and spans.

@@ -1,10 +1,14 @@
 """Tests for payload size estimation and the JSON codec."""
 
+from collections import OrderedDict
+from enum import IntEnum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net import JsonCodec, SizedPayload, estimate_size
+from repro.security.capabilities import CapabilityRegistry
 
 
 def test_scalar_sizes():
@@ -61,3 +65,26 @@ def test_codec_deterministic():
     max_leaves=20))
 def test_estimate_size_total_and_nonnegative(obj):
     assert estimate_size(obj) >= 0
+
+
+# -- subclasses of the built-in types and opaque references --------------
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 70000
+
+
+class _Tag(str):
+    """A str subclass whose wire form differs from its utf-8 bytes."""
+
+    def encode(self, *args, **kwargs):
+        return b"<" + super().encode(*args, **kwargs) + b">"
+
+
+_CAPS = CapabilityRegistry()
+
+
+def test_subclass_and_capability_sizes():
+    assert estimate_size(_Tag("ab")) == 4
+    assert estimate_size(_Level.HIGH) == 8
+    assert estimate_size(OrderedDict(a=True)) == 8 + 1 + 1 + 4
+    assert estimate_size(_CAPS.mint("x")) == 64

@@ -14,6 +14,7 @@ from repro.sim.trace import (
     DEFER,
     SAMPLE,
     STATUS_OK,
+    TraceRecord,
     Tracer,
     _ORPHAN,
     _SPAN_POOL_LIMIT,
@@ -162,6 +163,85 @@ def test_straggler_of_dropped_tree_records_nothing():
     assert tracer.span_count == 0    # stragglers dropped at end
     # Live (still-open) spans never entered the pool at discard time.
     assert pool_snapshots == [True]
+
+
+# -- the flat record view over pooled spans ------------------------------
+def test_closing_sampled_spans_builds_no_records(monkeypatch):
+    built = []
+    init = TraceRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecord, "__init__", counting_init)
+    tracer = _make_tracer()
+    n = 50
+    for i in range(n):
+        with tracer.span("work", i=i):
+            with tracer.span("work.step"):
+                pass
+    # The kept error tail's spans join the log without records too.
+    try:
+        with tracer.span("tail"):
+            raise RuntimeError("keep me")
+    except RuntimeError:
+        pass
+    assert tracer.deferred_kept == 1
+    assert len(tracer) == 2 * n + 1
+    assert built == []
+    # Records are built on read, one per entry read.
+    assert len(tracer.select("work")) == n
+    assert len(built) == n
+
+
+def test_span_backing_a_record_never_enters_the_pool():
+    sim = Simulator()
+    tracer = _make_tracer(sim)
+
+    def sampled(i):
+        with tracer.span("work", i=i):
+            yield sim.timeout(1.0)
+
+    def tail(i, fail):
+        with tracer.span("tail", i=i):
+            with tracer.span("tail.step"):
+                yield sim.timeout(0.5)
+                if fail:
+                    raise RuntimeError("kept")
+
+    def guarded_tail(i, fail):
+        try:
+            yield from tail(i, fail)
+        except RuntimeError:
+            pass
+
+    for i in range(20):
+        sim.spawn(sampled(i))
+        sim.spawn(guarded_tail(i, fail=i % 5 == 0))
+    sim.run()
+    assert tracer.deferred_kept == 4 and tracer.deferred_dropped == 16
+    assert tracer._span_pool
+    backing = {id(entry) for entry in tracer._records}
+    assert not backing & {id(span) for span in tracer._span_pool}
+
+
+def test_recycled_spans_never_surface_in_the_view():
+    tracer = _make_tracer()
+    _run_clean_tail(tracer)
+    pooled = {id(s) for s in tracer._span_pool}
+    assert len(tracer) == 0
+    for i in range(len(pooled)):
+        with tracer.span("fresh", i=i):
+            pass
+    # The recycled objects back the new records, under their new life.
+    assert {id(entry) for entry in tracer._records} == pooled
+    assert tracer.select("tail") == []
+    assert tracer.select("tail.step") == []
+    records = list(tracer)
+    assert [r.category for r in records] == ["fresh"] * len(pooled)
+    assert [r.payload for r in records] == [{"i": i}
+                                           for i in range(len(pooled))]
 
 
 # -- engine event pools -------------------------------------------------
