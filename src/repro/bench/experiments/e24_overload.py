@@ -117,7 +117,7 @@ def _build_cloud(cfg: OverloadRunConfig, gated: bool) -> PCSICloud:
     topo = build_cluster(sim, racks=2, nodes_per_rack=4,
                          gpu_nodes_per_rack=0,
                          node_capacity=server_node(cpus=1, memory_gb=4))
-    admission: Any
+    admission: Optional[GatewayConfig] = None
     if gated:
         admission = GatewayConfig(
             rate_per_tenant=cfg.capacity_rps / cfg.tenants,
@@ -127,8 +127,6 @@ def _build_cloud(cfg: OverloadRunConfig, gated: bool) -> PCSICloud:
             default_estimate_s=cfg.default_estimate_s,
             estimate_margin=cfg.estimate_margin,
         )
-    else:
-        admission = "none"
     cloud = PCSICloud(sim, seed=cfg.seed, keep_alive=600.0,
                       topology=topo, data_replicas=1,
                       trace=gated, attribution=gated,
@@ -280,9 +278,6 @@ def _fingerprint_run(cfg: OverloadRunConfig,
     event count, so a single extra event anywhere breaks equality.
     """
     cloud = _build_cloud(cfg, gated=False)
-    if not through_gateway:
-        # Same deployment, no front door object at all.
-        cloud.gateway = None
     fn = _define_front(cloud, cfg)
     client = cloud.client_node()
     rng = RandomStream(cfg.seed, "fingerprint")

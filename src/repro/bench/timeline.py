@@ -13,8 +13,7 @@ Example output::
     postprocess                                 [......####..]
 
 Rows come from the span tree (root ``invoke`` spans and their
-``execute`` children); tracers that only hold legacy flat
-``invoke.span`` records still render via the back-compat path.
+``execute`` children).
 """
 
 from __future__ import annotations
@@ -55,23 +54,6 @@ def _rows_from_spans(tracer: Tracer,
     return rows
 
 
-def _rows_from_records(tracer: Tracer,
-                       label: Optional[str]) -> List[Tuple]:
-    """Back-compat: rebuild rows from flat ``invoke.span`` records."""
-    rows: List[Tuple] = []
-    for record in tracer.select("invoke.span"):
-        p = record.payload
-        if label is not None and p.get("fn") != label:
-            continue
-        if "latency" not in p:
-            continue
-        end = record.time
-        rows.append((end - p["latency"], end - p["service"], end,
-                     f"{p['fn']}/{p['impl']}@{p['node']}"
-                     + (" COLD" if p.get("cold") else "")))
-    return rows
-
-
 def render_timeline(tracer: Tracer, width: int = DEFAULT_WIDTH,
                     max_rows: int = 40,
                     label: Optional[str] = None) -> str:
@@ -85,8 +67,6 @@ def render_timeline(tracer: Tracer, width: int = DEFAULT_WIDTH,
     if width < 10:
         raise ValueError("width must be at least 10")
     rows = _rows_from_spans(tracer, label)
-    if not rows:
-        rows = _rows_from_records(tracer, label)
     if not rows:
         return "(no invocation spans recorded — construct the cloud "\
                "with trace=True)"
@@ -203,23 +183,15 @@ def span_summary(tracer: Tracer) -> dict:
     """Aggregate statistics over invocations (counts by function,
     cold starts, total busy time)."""
     by_fn: dict = {}
-    spans = [s for s in tracer.spans(name="invoke") if s.finished]
-    if spans:
-        for span in spans:
-            attrs = span.attributes
-            stats = by_fn.setdefault(attrs.get("fn", "?"),
-                                     {"count": 0, "cold": 0, "busy_s": 0.0})
-            stats["count"] += 1
-            stats["cold"] += 1 if attrs.get("cold") else 0
-            execute = _find_descendant(tracer, span, "execute")
-            stats["busy_s"] += execute.duration if execute is not None \
-                else span.duration
-        return by_fn
-    for record in tracer.select("invoke.span"):
-        p = record.payload
-        stats = by_fn.setdefault(p["fn"], {"count": 0, "cold": 0,
-                                           "busy_s": 0.0})
+    for span in tracer.spans(name="invoke"):
+        if not span.finished:
+            continue
+        attrs = span.attributes
+        stats = by_fn.setdefault(attrs.get("fn", "?"),
+                                 {"count": 0, "cold": 0, "busy_s": 0.0})
         stats["count"] += 1
-        stats["cold"] += 1 if p.get("cold") else 0
-        stats["busy_s"] += p["service"]
+        stats["cold"] += 1 if attrs.get("cold") else 0
+        execute = _find_descendant(tracer, span, "execute")
+        stats["busy_s"] += execute.duration if execute is not None \
+            else span.duration
     return by_fn

@@ -81,7 +81,6 @@ class FunctionContext:
         self.invocation = invocation
         self.executor = executor
         self.impl = impl
-        self.state_calls = 0
 
     # -- ambient facts -----------------------------------------------------
     @property
@@ -130,7 +129,6 @@ class FunctionContext:
         system, rather than running to completion for a caller that
         already gave up.
         """
-        self.state_calls += 1
         check_deadline(self._kernel.sim,
                        f"{self.invocation.fn_name} state op")
         yield self._kernel.sim.timeout(self.executor.isolation_cost(1))
@@ -215,7 +213,6 @@ class FunctionContext:
         This is the Ray/Ciel-style dynamic graph edge: the caller keeps
         running and may ``yield`` the returned event later.
         """
-        self.state_calls += 1
         gen = self._kernel.op_invoke(self.node_id, fn_ref, args or {},
                                      request or {})
         return self._kernel.sim.spawn(gen, name=f"async:{self.invocation.fn_name}")

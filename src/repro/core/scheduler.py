@@ -553,21 +553,12 @@ class FunctionScheduler:
         inv.finished_at = sim.now
         inv.result = result
         self.history.append(inv)
-        kernel.tracer.record(sim.now, "invoke.span",
-                             fn=fn_def.name, impl=impl.name,
-                             node=inv.executor_node,
-                             cold=inv.cold_start,
-                             start=inv.started_at,
-                             latency=inv.latency,
-                             service=inv.service_time,
-                             state_calls=ctx.state_calls)
 
         # Pay-per-use metering (§2.4 / §4.2).
         memory_gb = impl.resources.memory / 1024 ** 3
         gpus = (impl.resources.accelerators.get("gpu", 0)
                 + impl.resources.accelerators.get("npu", 0))
         kernel.meter.invocation(inv.service_time, memory_gb, gpus=gpus)
-        kernel.metrics.histogram(f"invoke.{fn_def.name}").observe(inv.latency)
         # Exemplar: the id of the sampled root span tree this latency
         # came from (None when untraced/undecided), so a p99 bucket can
         # be opened back into a concrete trace.
@@ -575,8 +566,6 @@ class FunctionScheduler:
             "invoke.latency", fn=fn_def.name, impl=impl.name,
             cold=inv.cold_start).observe(
                 inv.latency, exemplar=tracer.exemplar_root_id(root_span))
-        if inv.cold_start:
-            kernel.metrics.counter(f"invoke.{fn_def.name}.cold").add(1)
 
         # The (small) result travels back to the caller.
         result_size = DISPATCH_MSG_BYTES

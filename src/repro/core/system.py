@@ -200,24 +200,20 @@ class PCSICloud:
                                            autoscaler=self.autoscaler)
         self.gc = GarbageCollector(self)
 
-        # ``admission`` stands an optional front door up in front of
-        # the scheduler (§2.2: rejection is a first-class response).
-        # ``None`` leaves the seed path untouched; ``"none"`` installs
-        # the pass-through NoAdmission (byte-identical to calling the
-        # scheduler directly — the overload gate pins that); a
-        # GatewayConfig installs the real AdmissionGateway with
-        # token buckets, WFQ, and deadline shedding.
-        self.gateway = None
-        if admission is not None:
-            if admission == "none":
-                self.gateway = NoAdmission(self)
-            elif isinstance(admission, GatewayConfig):
-                self.gateway = AdmissionGateway(
-                    self, admission, attributor=self.attributor)
-            else:
-                raise ValueError(
-                    "admission must be None, 'none', or a GatewayConfig; "
-                    f"got {admission!r}")
+        # ``admission`` stands a front door up in front of the
+        # scheduler (§2.2: rejection is a first-class response).
+        # ``None`` installs the pass-through NoAdmission (byte-identical
+        # to calling the scheduler directly — the overload gate pins
+        # that); a GatewayConfig installs the real AdmissionGateway
+        # with token buckets, WFQ, and deadline shedding.
+        if admission is None:
+            self.gateway = NoAdmission(self)
+        elif isinstance(admission, GatewayConfig):
+            self.gateway = AdmissionGateway(
+                self, admission, attributor=self.attributor)
+        else:
+            raise ValueError("admission must be None or a GatewayConfig; "
+                             f"got {admission!r}")
 
         # Transient kernel state for FIFO/socket objects.
         self._fifos: Dict[str, Channel] = {}

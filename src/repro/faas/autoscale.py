@@ -180,7 +180,6 @@ class WarmPool:
                 executor = candidates[0]
                 executor.mark_busy()
                 self.warm_hits += 1
-                self._count("warm_hits")
                 self._count("acquire", outcome="warm")
                 if span is not None:
                     span.set(outcome="warm")
@@ -209,8 +208,6 @@ class WarmPool:
                     self._executors.append(executor)
                     self.cold_starts += 1
                     self._track_size()
-                    self._count("cold_starts",
-                                platform=self.platform.name)
                     self._count("acquire", outcome="cold")
                     if span is not None:
                         span.set(outcome="cold")

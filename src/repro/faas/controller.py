@@ -421,9 +421,9 @@ class AutoscaleController:
     def _observe(self, pool: WarmPool, since: float,
                  now: float) -> PoolObservation:
         cold = self.metrics.window_delta(
-            "warmpool.cold_starts", since, pool=pool.name)
+            "warmpool.acquire", since, pool=pool.name, outcome="cold")
         warm = self.metrics.window_delta(
-            "warmpool.warm_hits", since, pool=pool.name)
+            "warmpool.acquire", since, pool=pool.name, outcome="warm")
         arrivals = self.metrics.window_delta(
             "warmpool.acquire", since, pool=pool.name)
         return PoolObservation(

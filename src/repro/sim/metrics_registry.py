@@ -462,8 +462,8 @@ class LabeledMetricsRegistry:
 
         ``labels`` is a *subset* filter: every child whose label set
         contains the given pairs contributes (so ``window_delta(
-        "warmpool.cold_starts", t, pool="fn/impl")`` sums across the
-        ``platform=...`` label that rides along). With no labels the
+        "warmpool.acquire", t, pool="fn/impl")`` sums across the
+        ``outcome=...`` label that rides along). With no labels the
         family aggregate is read. The delta is measured from the last
         sample at or before ``since`` to the newest sample; instruments
         born inside the window contribute their full value.

@@ -109,18 +109,17 @@ def traced_cloud():
 def test_invocation_critical_paths_sum_to_latency(traced_cloud):
     tracer = traced_cloud.tracer
     reports = invocation_critical_paths(tracer)
-    assert len(reports) == 3
-    records = tracer.select("invoke.span")
-    for report, record in zip(reports, records):
+    history = traced_cloud.scheduler.history
+    assert len(reports) == len(history) == 3
+    for report, inv in zip(reports, history):
         attributed = sum(s.contribution for s in report.segments)
         # Acceptance bar: within 1% of the end-to-end latency. The
         # construction guarantees exact, so this is a loose check.
         assert attributed == pytest.approx(report.total, rel=1e-9)
         # The root span covers the full client-observed window:
-        # dispatch + attempt + result return. The legacy latency field
+        # dispatch + attempt + result return. The invocation's latency
         # starts at submission, so the span is a strict superset.
-        assert record.payload["latency"] <= report.total \
-            <= 2 * record.payload["latency"]
+        assert inv.latency <= report.total <= 2 * inv.latency
 
 
 def test_cold_start_dominates_first_invocation(traced_cloud):

@@ -246,4 +246,5 @@ def test_invocation_latency_accounting(cloud):
     run(cloud, flow())
     inv = cloud.scheduler.history[-1]
     assert inv.latency >= inv.service_time > 0
-    assert cloud.metrics.histogram("invoke.f").count == 1
+    assert cloud.metrics.histogram("invoke.latency", fn="f", impl="wasm",
+                                   cold=True).count == 1

@@ -18,15 +18,22 @@ def test_invoke_spans_recorded_when_tracing():
         yield from cloud.invoke(client, fn)
 
     cloud.run_process(flow())
-    spans = cloud.tracer.select("invoke.span")
-    assert len(spans) == 2
-    first, second = spans
-    assert first.payload["fn"] == "traced"
-    assert first.payload["cold"] is True
-    assert second.payload["cold"] is False
-    assert first.payload["latency"] >= first.payload["service"] > 0
-    assert first.payload["node"] in {n.node_id
-                                     for n in cloud.topology.nodes}
+    tracer = cloud.tracer
+    roots = [s for s in tracer.roots() if s.name == "invoke"]
+    history = cloud.scheduler.history
+    assert len(roots) == len(history) == 2
+    first, second = roots
+    assert first.attributes["fn"] == "traced"
+    assert first.attributes["cold"] is True
+    assert second.attributes["cold"] is False
+    assert first.attributes["node"] in {n.node_id
+                                        for n in cloud.topology.nodes}
+    for root, inv in zip(roots, history):
+        execute = next(s for s in tracer.walk(root) if s.name == "execute")
+        assert root.attributes["node"] == inv.executor_node
+        assert root.attributes["cold"] is inv.cold_start
+        assert execute.duration == inv.service_time > 0
+        assert root.duration >= execute.duration
 
 
 def test_tracing_off_by_default():
@@ -121,9 +128,9 @@ def test_pipeline_storage_and_network_spans_linked():
     transfers = tracer.spans(name="net.transfer")
     assert transfers
     assert all(t.parent_id is not None for t in transfers)
-    # Compat shim: flat selects still see the same traffic.
+    # Flat selects still see the same traffic.
     assert tracer.sum_field("net.transfer", "nbytes") > 0
-    assert len(tracer.select("invoke.span")) == 2
+    assert len(tracer.select("invoke")) == 2
 
 
 def test_disabled_tracer_allocates_nothing_during_pipeline():

@@ -106,12 +106,12 @@ def test_warmth_survives_valleys_not_relabeled_cold_starts():
     qd = ControllerHarness(policy="queue-depth", seed=47).run(BURSTS)
     first_burst_end = 10.0
     cold_spans = [t for (t, _v) in
-                  qd.cloud.metrics.series("warmpool.cold_starts",
-                                          pool="fn/impl",
-                                          platform="microvm")]
+                  qd.cloud.metrics.series("warmpool.acquire",
+                                          pool="fn/impl", outcome="cold")]
     # Cold starts stopped growing after the first burst.
     deltas = qd.cloud.metrics.window_delta(
-        "warmpool.cold_starts", first_burst_end + 5.0, pool="fn/impl")
+        "warmpool.acquire", first_burst_end + 5.0, pool="fn/impl",
+        outcome="cold")
     assert deltas == 0
     assert cold_spans  # the series itself was sampled
     # Prewarming stayed a side channel, not the bulk of provisioning.

@@ -11,6 +11,8 @@ same identity as a sha256 fingerprint; this test is the readable
 version that points at the divergence when it breaks.
 """
 
+import pytest
+
 from repro.cluster.resources import cpu_task, server_node
 from repro.cluster.topology import build_cluster
 from repro.core.functions import FunctionImpl
@@ -29,17 +31,17 @@ DEADLINE = 0.12
 def _run_front_door(through_gateway: bool):
     """One pinned open-loop run; returns (log, final_now, event_count).
 
-    ``through_gateway=True`` routes every request through the
-    :class:`NoAdmission` pass-through; ``False`` calls the scheduler
-    path directly. Everything else is identical.
+    Both runs build the same cloud, whose default front door is the
+    :class:`NoAdmission` pass-through. ``through_gateway=True`` routes
+    every request through it; ``False`` calls the scheduler path
+    directly. Everything else is identical.
     """
     sim = Simulator()
     topo = build_cluster(sim, racks=2, nodes_per_rack=2,
                          gpu_nodes_per_rack=0,
                          node_capacity=server_node(cpus=1, memory_gb=4))
     cloud = PCSICloud(sim, seed=SEED, keep_alive=600.0, topology=topo,
-                      data_replicas=1,
-                      admission="none" if through_gateway else None)
+                      data_replicas=1)
     client = cloud.client_node()
     cloud.scheduler.control_node = client
     fn = cloud.define_function(
@@ -98,13 +100,13 @@ def test_noadmission_overload_outcomes_included():
 
 
 def test_noadmission_passes_arguments_through():
-    """NoAdmission forwards every invoke kwarg unchanged."""
+    """A cloud built without ``admission`` gets NoAdmission, which
+    forwards every invoke kwarg unchanged."""
     sim = Simulator()
     topo = build_cluster(sim, racks=1, nodes_per_rack=2,
                          gpu_nodes_per_rack=0,
                          node_capacity=server_node(cpus=2, memory_gb=8))
-    cloud = PCSICloud(sim, seed=1, topology=topo, data_replicas=1,
-                      admission="none")
+    cloud = PCSICloud(sim, seed=1, topology=topo, data_replicas=1)
     assert isinstance(cloud.gateway, NoAdmission)
     client = cloud.client_node()
     cloud.scheduler.control_node = client
@@ -120,3 +122,9 @@ def test_noadmission_passes_arguments_through():
 
     cloud.run_process(flow())
     assert len(results) == 1
+
+
+def test_admission_accepts_only_none_or_a_gateway_config():
+    with pytest.raises(ValueError):
+        PCSICloud(racks=1, nodes_per_rack=2, gpu_nodes_per_rack=0,
+                  admission="none")

@@ -140,7 +140,7 @@ def test_chaos_run_view_matches_snapshots(snapshot_clouds):
     tracer = cloud.tracer
     categories = [r.category for r in tracer.snapshots]
     # record()-only categories interleave with span records...
-    assert {"net.drop", "invoke.span"} <= set(categories)
+    assert "net.drop" in categories
     first_fault = next(i for i, c in enumerate(categories)
                        if c.startswith("fault."))
     assert "invoke" in categories[:first_fault]
