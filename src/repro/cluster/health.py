@@ -38,13 +38,14 @@ plane replays the seed event sequence bit for bit):
    reinstated after a probation window with fresh statistics.
 
 4. **Crash-safe in-flight recovery** (:class:`DispatchLedger` +
-   :class:`CompletionLog`). Every dispatch registers an entry carrying
-   an idempotency key and an orphan event; confirming a node dead
-   fires the orphan events of everything in flight there, so the
-   scheduler can interrupt the doomed attempt *now* and re-dispatch to
-   a healthy node instead of waiting out a deadline. The completion
-   log deduplicates by idempotency key: a re-dispatch that finds a
-   recorded completion returns it without re-running the body —
+   :class:`CompletionLog`). The body runs inline in the attempt's own
+   process, and every dispatch registers an entry carrying an
+   idempotency key and that process; confirming a node dead interrupts
+   the process of everything in flight there, so the doomed attempt
+   ends *now* and the scheduler re-dispatches to a healthy node
+   instead of waiting out a deadline. The completion log deduplicates
+   by idempotency key while the invoke lasts: a re-dispatch that finds
+   a recorded completion returns it without re-running the body —
    effectively-once completion.
 
 Determinism: all randomness (breaker cool-off jitter, probe ordering)
@@ -57,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ..sim.engine import Event, Interrupt, Simulator
+from ..sim.engine import Interrupt, Process, Simulator
 from ..sim.metrics_registry import LabeledMetricsRegistry
 from ..sim.rng import RandomStream
 from ..sim.trace import NULL_TRACER, Tracer
@@ -587,45 +588,65 @@ class OutlierEjector:
 
 
 class _DispatchEntry:
-    """One in-flight dispatch: where it runs and how to orphan it."""
+    """One in-flight dispatch: where it runs and the process running it.
 
-    __slots__ = ("key", "node_id", "orphan", "cause", "settled")
+    ``outer`` is the dispatch this one is nested in on that process (a
+    synchronous ``ctx.invoke`` runs its body inline in the caller's).
+    """
 
-    def __init__(self, key: str, node_id: str, orphan: Event):
+    __slots__ = ("key", "node_id", "process", "outer", "cause", "settled",
+                 "interrupted")
+
+    def __init__(self, key: str, node_id: str, process: Optional[Process],
+                 outer: Optional["_DispatchEntry"]):
         self.key = key
         self.node_id = node_id
-        self.orphan = orphan
+        self.process = process
+        self.outer = outer
         self.cause: Optional[str] = None
         self.settled = False
+        self.interrupted = False
 
 
 class DispatchLedger:
-    """Tracks in-flight dispatches per node; fires orphans on death."""
+    """Tracks in-flight dispatches per node; interrupts them on death.
+
+    Orphaning a dispatch interrupts the process running its body, with
+    the entry as the interrupt's cause. Dispatches on one process nest;
+    when several are orphaned at once, each process takes one interrupt
+    at a time, and one for an outer dispatch unwinds the inner ones as
+    cancelled. A process orphaned while it is running is interrupted
+    once it next waits.
+    """
 
     def __init__(self, sim: Simulator):
         self._sim = sim
-        self._by_node: Dict[str, List[_DispatchEntry]] = {}
+        self._by_node: Dict[str, Dict[_DispatchEntry, None]] = {}
+        self._innermost: Dict[Optional[Process], _DispatchEntry] = {}
         self.orphaned_total = 0
 
     def register(self, key: str, node_id: str) -> _DispatchEntry:
-        entry = _DispatchEntry(key, node_id,
-                               self._sim.event(name=f"orphan:{key}"))
-        self._by_node.setdefault(node_id, []).append(entry)
+        process = self._sim.active_process
+        entry = _DispatchEntry(key, node_id, process,
+                               self._innermost.get(process))
+        self._innermost[process] = entry
+        self._by_node.setdefault(node_id, {})[entry] = None
         return entry
 
     def settle(self, entry: _DispatchEntry) -> None:
         """The attempt finished (either way); forget the entry."""
+        if self._innermost.get(entry.process) is entry:
+            if entry.outer is None:
+                del self._innermost[entry.process]
+            else:
+                self._innermost[entry.process] = entry.outer
         if entry.settled:
             return
         entry.settled = True
-        entries = self._by_node.get(entry.node_id)
-        if entries is not None:
-            try:
-                entries.remove(entry)
-            except ValueError:
-                pass
-            if not entries:
-                del self._by_node[entry.node_id]
+        entries = self._by_node[entry.node_id]
+        del entries[entry]
+        if not entries:
+            del self._by_node[entry.node_id]
 
     def in_flight(self, node_id: str) -> int:
         return len(self._by_node.get(node_id, ()))
@@ -634,15 +655,43 @@ class DispatchLedger:
         return sum(len(v) for v in self._by_node.values())
 
     def orphan_node(self, node_id: str, cause: str) -> int:
-        """Fire orphan events for everything in flight on ``node_id``."""
-        entries = self._by_node.pop(node_id, [])
+        """Orphan everything in flight on ``node_id``."""
+        entries = self._by_node.pop(node_id, {})
         for entry in entries:
             entry.settled = True
             entry.cause = cause
-            if not entry.orphan.triggered:
-                entry.orphan.succeed(cause)
+            self._interrupt(entry)
         self.orphaned_total += len(entries)
         return len(entries)
+
+    def _interrupt(self, entry: _DispatchEntry,
+                   deferred: bool = False) -> None:
+        process = entry.process
+        if process is None:
+            return
+        found = pending = False
+        open_entry = self._innermost.get(process)
+        while open_entry is not None:
+            if open_entry is entry:
+                found = True
+            elif open_entry.cause is not None:
+                pending = True
+            open_entry = open_entry.outer
+        if not found:
+            return  # its body finished, or another interrupt unwound it
+        sim = self._sim
+        if process is sim.active_process or (pending and not deferred):
+            # A second interrupt, or one sent to the running process,
+            # would land after the process waits on something new and
+            # resume it twice. Send it once the process next waits
+            # (same-instant interrupts are delivered before this); an
+            # orphaned outer dispatch's interrupt unwinds this one.
+            later = sim.event(name="orphan")
+            later.callbacks.append(lambda _: self._interrupt(entry, True))
+            later.succeed()
+            return
+        entry.interrupted = True
+        process.interrupt(entry)
 
 
 _MISSING = object()
@@ -664,6 +713,10 @@ class CompletionLog:
 
     def record(self, key: str, result: Any) -> None:
         self._results.setdefault(key, result)
+
+    def forget(self, key: str) -> None:
+        """The invoke holding ``key`` is over: no dispatch can ask again."""
+        self._results.pop(key, None)
 
     def __contains__(self, key: str) -> bool:
         return key in self._results
@@ -919,21 +972,24 @@ class HealthPlane:
     def settle_dispatch(self, entry: _DispatchEntry) -> None:
         self.ledger.settle(entry)
 
+    def forget_invoke(self, key: Optional[str]) -> None:
+        """The request path holding ``key`` exited: drop its completion."""
+        self.completions.forget(key)
+
     def run_body(self, fn: str, body, ctx, inv,
                  idem_key: Optional[str]) -> Generator:
-        """Run one invoke's body raced against its host's death.
+        """Run one invoke's body inline, orphaned if its host dies.
 
         The dispatch is registered in the ledger with its idempotency
-        key; the body runs as a child process raced against the
-        entry's orphan event. If the detector confirms the host dead
-        mid-flight, the doomed body is interrupted *immediately* and
-        :class:`InvokeOrphanedError` tells the scheduler to re-dispatch
-        — no waiting out a deadline on a corpse. The completion log is
-        consulted first and written on success, so a re-dispatch (or
-        losing hedge arm) that finds a recorded completion returns it
-        without re-running the body: effectively-once completion.
+        key and the process running the body. If the detector confirms
+        the host dead mid-flight, the ledger interrupts that process
+        *immediately* and :class:`InvokeOrphanedError` tells the
+        scheduler to re-dispatch — no waiting out a deadline on a
+        corpse. The completion log is consulted first and written on
+        success, so a re-dispatch (or losing hedge arm) that finds a
+        recorded completion returns it without re-running the body:
+        effectively-once completion.
         """
-        sim = self.sim
         node_id = inv.executor_node
         key = idem_key if idem_key is not None \
             else self.idempotency_key(fn)
@@ -944,52 +1000,46 @@ class HealthPlane:
             return cached
 
         entry = self.register_dispatch(key, node_id)
-
-        def guarded():
-            result = yield from body(ctx)
-            # Recorded the instant the body completes — before anyone
-            # can observe an orphan race at the same timestamp — so a
-            # finished body is never re-executed.
-            self.completions.record(key, result)
-            return result
-
-        work = sim.spawn(guarded(), name=f"body:{fn}")
         try:
-            # A failing body fails the any_of, which re-raises here;
-            # swallow that case (it is inspected below via work.value)
-            # but propagate cancellation of *this* process — deadline
-            # expiry, a lost hedge race — after stopping the child.
-            yield sim.any_of([work, entry.orphan])
-        except BaseException as exc:
-            if not (work.triggered and not work.ok
-                    and work.value is exc):
-                if work.is_alive:
-                    work.interrupt("cancelled")
-                if isinstance(exc, Interrupt) and exc.cause == "deadline":
+            try:
+                result = yield from body(ctx)
+            finally:
+                self.settle_dispatch(entry)
+        except Exception as exc:
+            # Once the orphan interrupt is in, the attempt is orphaned
+            # whatever the body made of it (even a body that caught it
+            # and failed otherwise).
+            if entry.interrupted:
+                raise self._orphaned(fn, entry)
+            if isinstance(exc, Interrupt):
+                if exc.cause == "deadline":
                     # A deadline burned on this host is evidence
                     # against it (gray nodes can be so slow that no
                     # attempt ever survives to produce a latency
-                    # sample); a lost hedge race is not.
+                    # sample); a lost hedge race, or an orphaned
+                    # dispatch this one is nested in, is not.
                     self.report_outcome(fn, node_id, ok=False,
                                         cause="deadline")
                 raise
-        finally:
-            self.settle_dispatch(entry)
-        if work.triggered:
-            if work.ok:
-                self.report_outcome(fn, node_id, ok=True,
-                                    latency=sim.now - inv.started_at,
-                                    warm=not inv.cold_start)
-                return work.value
             self.report_outcome(fn, node_id, ok=False,
-                                cause=type(work.value).__name__)
-            raise work.value
-        # The orphan event won: the host was confirmed dead while the
-        # body was still computing.
-        if work.is_alive:
-            work.interrupt("node-crash")
-        self.report_outcome(fn, node_id, ok=False, cause="orphaned")
-        raise InvokeOrphanedError(node_id, entry.cause or "node-crash")
+                                cause=type(exc).__name__)
+            raise
+        # Recorded before anything else runs, so a body that finished
+        # as its host was confirmed dead is never re-executed.
+        self.completions.record(key, result)
+        if entry.interrupted:
+            # The body caught its orphan interrupt and returned: the
+            # re-dispatch finds this completion.
+            raise self._orphaned(fn, entry)
+        self.report_outcome(fn, node_id, ok=True,
+                            latency=self.sim.now - inv.started_at,
+                            warm=not inv.cold_start)
+        return result
+
+    def _orphaned(self, fn: str,
+                  entry: _DispatchEntry) -> InvokeOrphanedError:
+        self.report_outcome(fn, entry.node_id, ok=False, cause="orphaned")
+        return InvokeOrphanedError(entry.node_id, entry.cause)
 
     # -- metrics helpers ----------------------------------------------
 
@@ -1027,6 +1077,9 @@ class NoHealth:
 
     def idempotency_key(self, fn: str) -> Optional[str]:
         return None
+
+    def forget_invoke(self, key: Optional[str]) -> None:
+        pass
 
     def run_body(self, fn: str, body, ctx, inv,
                  idem_key: Optional[str]) -> Generator:

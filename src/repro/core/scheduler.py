@@ -266,55 +266,61 @@ class FunctionScheduler:
         idem_key = health.idempotency_key(fn_def.name)
         recoveries = 0
         last_cause = "node-crash"
-        while True:
-            try:
-                result = yield from chain(
-                    client_node, fn_ref, fn_def, args, request,
-                    preferred_node, impl_name, root, policy, idem_key)
-            except InvokeOrphanedError as exc:
-                last_cause = exc.cause
-                if recoveries == 0:
-                    health.orphaned += 1
-                kernel.metrics.counter("invoke.orphaned", fn=fn_def.name,
-                                       cause=exc.cause).add(1)
-                if recoveries >= health.config.max_recoveries:
-                    raise
-                recoveries += 1
-                with tracer.span("invoke.recover", fn=fn_def.name,
-                                 node=exc.node_id, cause=exc.cause,
-                                 n=recoveries):
-                    pass
-                # Re-dispatch immediately, dropping the co-location
-                # hint: the preferred node is the one that just died.
-                preferred_node = None
-                continue
-            except self.RETRIABLE as exc:
-                # A transient transport error while re-dispatching a
-                # recovered invoke. Recovery is platform-owned, so it
-                # must not depend on the caller's retry budget (a
-                # batch invoke typically has none): back off briefly —
-                # the fault that orphaned the invoke may still be
-                # partitioning the path — and re-dispatch, consuming
-                # recovery budget rather than attempt count.
-                if recoveries == 0 \
-                        or recoveries >= health.config.max_recoveries:
-                    raise
-                recoveries += 1
-                with tracer.span("invoke.recover", fn=fn_def.name,
-                                 node=None,
-                                 cause=type(exc).__name__,
-                                 n=recoveries):
-                    pass
-                yield kernel.sim.timeout(
-                    kernel.profile.network_rtt
-                    * DEFAULT_BASE_RTT_MULTIPLE * (2 ** recoveries))
-                continue
-            if recoveries:
-                health.recovered += 1
-                kernel.metrics.counter("invoke.recovered", fn=fn_def.name,
-                                       cause=last_cause).add(1)
-                root.set(recovered=recoveries, recovery_cause=last_cause)
-            return result
+        try:
+            while True:
+                try:
+                    result = yield from chain(
+                        client_node, fn_ref, fn_def, args, request,
+                        preferred_node, impl_name, root, policy, idem_key)
+                except InvokeOrphanedError as exc:
+                    last_cause = exc.cause
+                    if recoveries == 0:
+                        health.orphaned += 1
+                    kernel.metrics.counter("invoke.orphaned", fn=fn_def.name,
+                                           cause=exc.cause).add(1)
+                    if recoveries >= health.config.max_recoveries:
+                        raise
+                    recoveries += 1
+                    with tracer.span("invoke.recover", fn=fn_def.name,
+                                     node=exc.node_id, cause=exc.cause,
+                                     n=recoveries):
+                        pass
+                    # Re-dispatch immediately, dropping the co-location
+                    # hint: the preferred node is the one that just died.
+                    preferred_node = None
+                    continue
+                except self.RETRIABLE as exc:
+                    # A transient transport error while re-dispatching a
+                    # recovered invoke. Recovery is platform-owned, so it
+                    # must not depend on the caller's retry budget (a
+                    # batch invoke typically has none): back off briefly —
+                    # the fault that orphaned the invoke may still be
+                    # partitioning the path — and re-dispatch, consuming
+                    # recovery budget rather than attempt count.
+                    if recoveries == 0 \
+                            or recoveries >= health.config.max_recoveries:
+                        raise
+                    recoveries += 1
+                    with tracer.span("invoke.recover", fn=fn_def.name,
+                                     node=None,
+                                     cause=type(exc).__name__,
+                                     n=recoveries):
+                        pass
+                    yield kernel.sim.timeout(
+                        kernel.profile.network_rtt
+                        * DEFAULT_BASE_RTT_MULTIPLE * (2 ** recoveries))
+                    continue
+                if recoveries:
+                    health.recovered += 1
+                    kernel.metrics.counter("invoke.recovered", fn=fn_def.name,
+                                           cause=last_cause).add(1)
+                    root.set(recovered=recoveries, recovery_cause=last_cause)
+                return result
+        finally:
+            # Every dispatch of this invoke has settled (a losing
+            # hedge arm is interrupted before the chain returns), so
+            # no re-dispatch can consult its completion again.
+            health.forget_invoke(idem_key)
 
     def _retry_loop(self, client_node: str, fn_ref: Reference,
                     fn_def: FunctionDef, args: Dict[str, Reference],

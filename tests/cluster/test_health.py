@@ -34,7 +34,7 @@ from repro.cluster.health import (
     PhiAccrualDetector,
     _MISSING,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import Interrupt, Simulator
 from repro.sim.rng import RandomStream
 
 
@@ -416,17 +416,31 @@ def test_ejector_needs_min_samples_and_peers():
 def test_ledger_orphans_only_the_dead_nodes_entries():
     sim = Simulator()
     ledger = DispatchLedger(sim)
-    a = ledger.register("k1", "n0")
-    b = ledger.register("k2", "n0")
-    c = ledger.register("k3", "n1")
+    entries, interrupts = {}, {}
+
+    def dispatch(key, node_id):
+        entries[key] = ledger.register(key, node_id)
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt as exc:
+            interrupts[key] = (sim.now, exc.cause)
+
+    for key, node_id in (("k1", "n0"), ("k2", "n0"), ("k3", "n1")):
+        sim.spawn(dispatch(key, node_id))
+    sim.run(until=1.0)
+    a, b, c = entries["k1"], entries["k2"], entries["k3"]
+    assert a.process is not b.process
     ledger.settle(a)              # finished before the crash
     assert ledger.total_in_flight() == 2
     assert ledger.orphan_node("n0", "executor-lost") == 1
-    assert not a.orphan.triggered
-    assert b.orphan.triggered and b.cause == "executor-lost"
-    assert not c.orphan.triggered
+    assert b.settled and b.cause == "executor-lost"
+    assert a.cause is None and c.cause is None and not c.settled
     assert ledger.in_flight("n1") == 1
     assert ledger.orphaned_total == 1
+    sim.run(until=2.0)
+    # Only the orphaned entry's process was interrupted, at once, with
+    # its entry as the cause.
+    assert interrupts == {"k2": (1.0, b)}
 
 
 def test_ledger_settle_is_idempotent():
