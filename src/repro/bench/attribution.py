@@ -323,3 +323,11 @@ class LatencyAttributor:
                     self._stats.items())
             },
         }
+
+
+#: The attributor of a cloud without attribution: its private tracer is
+#: disabled, so it never observes — ``samples()`` is 0 and every latency
+#: read is None, and consumers fall back through their min-samples guards.
+#: One instance is shared by every such cloud in the process, so it must
+#: never be fed (``observe_root``/``observe_invoke``) or re-configured.
+NO_ATTRIBUTION = LatencyAttributor(Tracer(enabled=False))

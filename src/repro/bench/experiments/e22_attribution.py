@@ -137,8 +137,7 @@ def run_drift_arm(observation_mode: str = "static",
         "phase1_mean_s": sum(phase1) / len(phase1),
         "phase2_mean_s": sum(phase2) / len(phase2),
         "decisions": decisions,
-        "attribution": (cloud.attributor.to_json()
-                        if cloud.attributor is not None else None),
+        "attribution": cloud.attributor.to_json(),
     }
 
 

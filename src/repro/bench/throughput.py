@@ -383,9 +383,8 @@ def _invoke_driver(cloud: PCSICloud, fn_ref, count: int,
                    use_batch: bool) -> Generator:
     client = cloud.client_node()
     requests = [{"i": i} for i in range(count)]
-    invoke_many = getattr(cloud, "invoke_many", None)
-    if use_batch and invoke_many is not None:
-        results = yield from invoke_many(client, fn_ref, {}, requests)
+    if use_batch:
+        results = yield from cloud.invoke_many(client, fn_ref, {}, requests)
     else:
         results = []
         for request in requests:
@@ -429,8 +428,7 @@ def run_invoke_bench(serial: bool = False) -> Dict[str, Any]:
         "wall_s": wall,
         "invokes_per_sec": completed / wall if wall > 0 else 0.0,
         "events_per_sec": events / wall if wall > 0 else 0.0,
-        "batched": (not serial
-                    and getattr(cloud, "invoke_many", None) is not None),
+        "batched": not serial,
         "fingerprint": fingerprint,
     }
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..bench.attribution import NO_ATTRIBUTION, LatencyAttributor
 from ..cluster.node import DEVICE_SPECS
 from ..cost.pricing import DEFAULT_PRICES, PriceBook
 from ..faas.autoscale import WarmPool
@@ -65,7 +66,7 @@ class ImplOptimizer:
                  cold_start_amortization: int = 1,
                  slo: Optional[float] = None,
                  observation_mode: str = "static",
-                 attributor=None,
+                 attributor=NO_ATTRIBUTION,
                  min_samples: Optional[int] = None,
                  objective: str = "mean"):
         if goal not in GOALS:
@@ -78,7 +79,9 @@ class ImplOptimizer:
             raise ValueError(
                 f"observation_mode must be one of {OBSERVATION_MODES}, "
                 f"got {observation_mode!r}")
-        if observation_mode != "static" and attributor is None:
+        if observation_mode != "static" and (
+                not isinstance(attributor, LatencyAttributor)
+                or attributor is NO_ATTRIBUTION):
             raise ValueError(
                 f"observation_mode={observation_mode!r} needs an attributor")
         if objective not in OBJECTIVES:
@@ -96,12 +99,12 @@ class ImplOptimizer:
         #: key has ``min_samples`` samples).
         self.observation_mode = observation_mode
         #: The :class:`~repro.bench.attribution.LatencyAttributor`
-        #: supplying observed decompositions (None in static mode).
+        #: supplying observed decompositions (``NO_ATTRIBUTION`` if off).
         self.attributor = attributor
         #: Observations needed before the EMA replaces the model.
         #: Defaults to the attributor's own guard.
-        self.min_samples = min_samples if min_samples is not None else (
-            attributor.min_samples if attributor is not None else 1)
+        self.min_samples = min_samples if min_samples is not None \
+            else attributor.min_samples
         self.prices = prices if prices is not None else DEFAULT_PRICES
         #: How many future invocations a cold start is expected to serve.
         #: 1 = fully pessimistic (per-invocation view); larger values
@@ -160,8 +163,7 @@ class ImplOptimizer:
         so never-tried impls keep their optimistic prior and still get
         explored.
         """
-        if (self.observation_mode != "ema" or self.attributor is None
-                or fn_name is None):
+        if self.observation_mode != "ema" or fn_name is None:
             return model_latency
         if self.attributor.samples(fn_name, impl.name) < self.min_samples:
             return model_latency

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..bench.attribution import NO_ATTRIBUTION
 from ..cluster.health import NO_HEALTH
 from ..cluster.node import Node
 from ..cluster.resources import ResourceVector
@@ -35,11 +36,11 @@ class PlacementPolicy:
 
     name = "base"
 
-    def __init__(self, topology: Topology, attributor=None):
+    def __init__(self, topology: Topology, attributor=NO_ATTRIBUTION):
         self.topology = topology
-        #: Optional :class:`~repro.bench.attribution.LatencyAttributor`
-        #: observation feed. The base policies ignore it; observation-
-        #: aware subclasses consult it in :meth:`choose`.
+        #: The :class:`~repro.bench.attribution.LatencyAttributor` feed
+        #: (``NO_ATTRIBUTION`` if off). The base policies ignore it;
+        #: observation-aware subclasses consult it in :meth:`choose`.
         self.attributor = attributor
         #: The kernel's health plane, wired after construction. Nodes
         #: it says to avoid (quarantined gray outliers, suspect or
@@ -83,7 +84,7 @@ class NaivePlacement(PlacementPolicy):
     name = "naive"
 
     def __init__(self, topology: Topology, rng: Optional[RandomStream] = None,
-                 attributor=None):
+                 attributor=NO_ATTRIBUTION):
         super().__init__(topology, attributor=attributor)
         self.rng = rng if rng is not None else RandomStream(0, "naive-place")
 
@@ -156,9 +157,9 @@ class ObservedPlacement(ColocatePlacement):
     When the attached attributor has folded at least its
     ``min_samples`` traces for a node class, candidate nodes are first
     narrowed to the class with the lowest observed warm latency; the
-    co-location heuristics then break ties *inside* that class. With no
-    attributor, or before any class clears the guard, or when every
-    candidate sits in one class, this is exactly
+    co-location heuristics then break ties *inside* that class. Before
+    any class clears the guard, or when every candidate sits in one
+    class (as under ``NO_ATTRIBUTION``), this is exactly
     :class:`ColocatePlacement` — so the policy can be enabled from t=0
     and only starts steering once evidence exists.
     """
@@ -173,8 +174,6 @@ class ObservedPlacement(ColocatePlacement):
     def _narrow_to_best_class(self, nodes: List[Node]) -> List[Node]:
         """Candidates in the best observed class, or all of them."""
         att = self.attributor
-        if att is None:
-            return nodes
         by_class: dict = {}
         for node in nodes:
             by_class.setdefault(att.node_class_fn(node.node_id),
@@ -203,7 +202,7 @@ POLICIES = {cls.name: cls for cls in (NaivePlacement, ColocatePlacement,
 
 def make_policy(name: str, topology: Topology,
                 rng: Optional[RandomStream] = None,
-                attributor=None) -> PlacementPolicy:
+                attributor=NO_ATTRIBUTION) -> PlacementPolicy:
     """Instantiate a policy by name."""
     if name not in POLICIES:
         raise KeyError(f"unknown placement policy {name!r}; "

@@ -104,7 +104,7 @@ class RetryPolicy:
       function being invoked and arms the hedge there, so the duplicate
       fires exactly when this request has outlived the tail bound
       instead of at a hand-tuned constant. Below ``hedge_min_samples``
-      observations (or with no attributor attached) it falls back to
+      observations (always, under ``NO_ATTRIBUTION``) it falls back to
       the fixed ``hedge_delay``, which is therefore still required.
     """
 

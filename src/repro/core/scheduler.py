@@ -45,17 +45,13 @@ class FunctionScheduler:
     def __init__(self, kernel, policy: PlacementPolicy,
                  optimizer: ImplOptimizer,
                  keep_alive: float = DEFAULT_KEEP_ALIVE,
-                 control_node: Optional[str] = None,
-                 autoscaler=None):
+                 control_node: Optional[str] = None):
         self.kernel = kernel
         self.policy = policy
         self.optimizer = optimizer
         self.keep_alive = keep_alive
         self.control_node = control_node or \
             kernel.topology.nodes[0].node_id
-        #: Optional :class:`~repro.faas.controller.AutoscaleController`;
-        #: when set, every pool is registered with it on creation.
-        self.autoscaler = autoscaler
         self._pools: Dict[Tuple[str, str], WarmPool] = {}
         self.history: list = []
 
@@ -70,8 +66,7 @@ class FunctionScheduler:
                 placer=self.policy.placer(), keep_alive=self.keep_alive,
                 metrics=self.kernel.metrics, tracer=self.kernel.tracer)
             pool.health = self.kernel.health
-            if self.autoscaler is not None:
-                self.autoscaler.register(pool)
+            self.kernel.autoscaler.register(pool)
             self._pools[key] = pool
         return self._pools[key]
 
@@ -413,13 +408,11 @@ class FunctionScheduler:
         across impls and node classes via the attributor's quantile
         sketches — falling back to the fixed delay until
         ``hedge_min_samples`` observations (the attributor's
-        ``min_samples`` when unset) or when no attributor is attached.
+        ``min_samples`` when unset) — always, under ``NO_ATTRIBUTION``.
         """
         if policy.hedge_mode != "adaptive":
             return policy.hedge_delay
         attributor = self.kernel.attributor
-        if attributor is None:
-            return policy.hedge_delay
         need = policy.hedge_min_samples
         if need is None:
             need = attributor.min_samples

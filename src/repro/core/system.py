@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..bench.attribution import LatencyAttributor
+from ..bench.attribution import NO_ATTRIBUTION, LatencyAttributor
 from ..cluster.health import NO_HEALTH, HealthConfig, HealthPlane
 from ..cluster.latency import DC_2021, LatencyProfile
 from ..cluster.network import Network
@@ -131,10 +131,10 @@ class PCSICloud:
         # selection (and the "observed" placement policy), closing the
         # trace → attribution → placement loop; it implies attribution.
         # Both need ``trace=True`` — without span trees there is
-        # nothing to attribute.
+        # nothing to attribute. Off, it is NO_ATTRIBUTION (never fed).
         if observation_mode != "static":
             attribution = True
-        self.attributor: Optional[LatencyAttributor] = None
+        self.attributor: LatencyAttributor = NO_ATTRIBUTION
         if attribution:
             if not trace:
                 raise ValueError(
@@ -162,10 +162,10 @@ class PCSICloud:
                                        attributor=self.attributor,
                                        objective=objective)
         # ``autoscale`` closes the metrics → controller → pool loop:
-        # a policy spec (name / class / prototype / factory) builds one
+        # a policy spec (name / class / prototype / factory) starts the
         # AutoscaleController that every warm pool registers with. The
-        # default (None) leaves pools exactly as before — no controller
-        # process exists and event order is untouched.
+        # default (None) leaves it unstarted: no process, no ticks, and
+        # event order is untouched.
         # ``health`` stands the self-healing health plane up: phi-
         # accrual failure detection, per-(fn, node class) circuit
         # breakers, gray-node outlier ejection, and crash-safe invoke
@@ -188,16 +188,14 @@ class PCSICloud:
             self.health.start()
         self.policy.health = self.health
 
-        self.autoscaler = None
+        self.autoscaler = AutoscaleController(
+            self.sim, self.metrics,
+            make_policy_factory("fixed" if autoscale is None else autoscale),
+            interval=autoscale_interval, tracer=self.tracer)
         if autoscale is not None:
-            self.autoscaler = AutoscaleController(
-                self.sim, self.metrics,
-                make_policy_factory(autoscale),
-                interval=autoscale_interval, tracer=self.tracer)
             self.autoscaler.start()
         self.scheduler = FunctionScheduler(self, self.policy, self.optimizer,
-                                           keep_alive=keep_alive,
-                                           autoscaler=self.autoscaler)
+                                           keep_alive=keep_alive)
         self.gc = GarbageCollector(self)
 
         # ``admission`` stands a front door up in front of the
@@ -209,8 +207,7 @@ class PCSICloud:
         if admission is None:
             self.gateway = NoAdmission(self)
         elif isinstance(admission, GatewayConfig):
-            self.gateway = AdmissionGateway(
-                self, admission, attributor=self.attributor)
+            self.gateway = AdmissionGateway(self, admission)
         else:
             raise ValueError("admission must be None or a GatewayConfig; "
                              f"got {admission!r}")

@@ -20,7 +20,7 @@ two levers on every registered :class:`~repro.faas.autoscale.WarmPool`:
 Policies:
 
 * :class:`FixedPolicy` — never actuates; a pool under it behaves
-  byte-for-byte like a pool with no controller at all (the control
+  byte-for-byte like a pool under an unstarted controller (the control
   arm of the regression gate).
 * :class:`QueueDepthPolicy` — PI-style control on queue depth with a
   demand feed-forward term (busy + queued concurrency).

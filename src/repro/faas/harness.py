@@ -140,8 +140,8 @@ class ControllerHarness:
     """Replay a scripted arrival schedule under one autoscale policy.
 
     ``policy`` is anything :func:`~repro.faas.controller
-    .make_policy_factory` accepts, or ``None`` for no controller at
-    all (the pre-controller system, byte for byte).
+    .make_policy_factory` accepts, or ``None`` for an unstarted
+    controller (the pre-controller system, byte for byte).
     """
 
     def __init__(self, policy=None, *, seed: int = 43,
@@ -236,8 +236,7 @@ class ControllerHarness:
         metrics = cloud.metrics.to_json(now)
         controller = cloud.autoscaler
         policy_name = "none" if self.policy is None else \
-            getattr(controller._pools[0][1], "name", "custom") \
-            if controller is not None and controller._pools else "custom"
+            getattr(controller._pools[0][1], "name", "custom")
         return HarnessResult(
             policy=policy_name, seed=self.seed, duration=now,
             offered=len(times), completed=len(latencies),
@@ -248,7 +247,7 @@ class ControllerHarness:
             peak_size=pool.peak_size,
             held_seconds=pool.live_executor_seconds(now),
             latencies=latencies,
-            ticks=controller.ticks if controller is not None else 0,
+            ticks=controller.ticks,
             metrics=metrics,
             metrics_text=json.dumps(metrics, sort_keys=True),
             cloud=cloud, pool=pool, controller=controller)

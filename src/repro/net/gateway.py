@@ -21,9 +21,9 @@ Three mechanisms compose, in order:
   is proportional to its weight, not to its arrival count; and
 * **deadline-aware shedding**: a request whose remaining
   :class:`~repro.sim.deadline.Deadline` budget is smaller than the
-  estimated service time — observed via the
-  :class:`~repro.bench.attribution.LatencyAttributor` when one is
-  attached, a static configured estimate otherwise — is rejected
+  estimated service time — observed via the kernel's
+  :class:`~repro.bench.attribution.LatencyAttributor` once it holds
+  enough samples, a static configured estimate otherwise — is rejected
   *early* (at submit, and again after its queue wait), because running
   it would burn an executor on work that is already doomed.
 
@@ -187,7 +187,7 @@ class GatewayConfig:
     the scheduler; excess arrivals wait in the WFQ up to ``max_queue``
     deep, beyond which they are shed. ``default_estimate_s`` seeds the
     service-time estimate used for deadline shedding until the
-    attributor (when attached) has ``min_samples`` observations;
+    kernel's attributor has ``min_samples`` observations;
     ``estimate_margin`` scales the estimate (>1 sheds more eagerly).
     """
 
@@ -262,15 +262,9 @@ class AdmissionGateway:
     via :meth:`register_tenant`.
     """
 
-    def __init__(self, kernel, config: GatewayConfig,
-                 attributor=None):
+    def __init__(self, kernel, config: GatewayConfig):
         self.kernel = kernel
         self.config = config
-        #: Estimate source for deadline shedding: an explicit argument
-        #: wins; otherwise the kernel's attributor (when attribution is
-        #: enabled) feeds observed warm latencies back into admission.
-        self.attributor = attributor if attributor is not None \
-            else kernel.attributor
         self._tenants: Dict[str, _TenantState] = {}
         self._wfq = WeightedFairQueue()
         self._busy = 0
@@ -343,9 +337,8 @@ class AdmissionGateway:
         static estimate, or ``None`` (no deadline shedding) when
         neither source knows anything.
         """
-        att = self.attributor
-        if att is not None and fn_name is not None \
-                and att.samples(fn=fn_name) >= att.min_samples:
+        att = self.kernel.attributor
+        if fn_name is not None and att.samples(fn=fn_name) >= att.min_samples:
             warm = att.warm_latency(fn_name, None)
             if warm is not None:
                 return warm

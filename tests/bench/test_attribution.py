@@ -163,6 +163,9 @@ def test_optimizer_rejects_ema_without_attributor():
     with pytest.raises(ValueError):
         ImplOptimizer(observation_mode="ema")
     with pytest.raises(ValueError):
+        ImplOptimizer(observation_mode="ema", attributor=None,
+                      min_samples=1)
+    with pytest.raises(ValueError):
         ImplOptimizer(observation_mode="nonsense")
 
 

@@ -20,7 +20,8 @@ from repro.net.gateway import GatewayConfig
 
 #: The hooks the invoke path calls on whatever plane is installed.
 HOOKS = ("avoid", "allow_dispatch", "dispatch_allowed",
-         "all_breakers_open", "idempotency_key", "run_body")
+         "all_breakers_open", "idempotency_key", "run_body",
+         "forget_invoke")
 
 
 def test_null_plane_offers_every_hook_with_the_real_signature():
@@ -36,6 +37,7 @@ def test_null_plane_answers_carry_on():
     assert NO_HEALTH.dispatch_allowed("fn") is True
     assert NO_HEALTH.all_breakers_open("fn") is False
     assert NO_HEALTH.idempotency_key("fn") is None
+    assert NO_HEALTH.forget_invoke(None) is None
 
 
 def test_null_plane_runs_the_body_generator_itself():
@@ -72,9 +74,9 @@ class RecordingPlane(NoHealth):
 def test_health_off_invokes_go_through_the_plane_hooks():
     """Every layer consults the installed plane on a health-off cloud:
     placement and the warm pool ask ``avoid``, the request path asks
-    ``idempotency_key``, the attempt asks ``allow_dispatch`` and runs
-    the body through ``run_body``, and the gateway asks
-    ``all_breakers_open``."""
+    ``idempotency_key`` and calls ``forget_invoke`` once on exit, the
+    attempt asks ``allow_dispatch`` and runs the body through
+    ``run_body``, and the gateway asks ``all_breakers_open``."""
     cloud = PCSICloud(racks=1, nodes_per_rack=2, gpu_nodes_per_rack=0,
                       data_replicas=1,
                       admission=GatewayConfig(rate_per_tenant=1e6,
@@ -94,7 +96,10 @@ def test_health_off_invokes_go_through_the_plane_hooks():
 
     cloud.run_process(flow())
     for name in ("avoid", "allow_dispatch", "all_breakers_open",
-                 "idempotency_key", "run_body"):
+                 "idempotency_key", "run_body", "forget_invoke"):
         assert plane.calls[name] >= 1, name
     assert plane.calls["run_body"] == 2
+    # Two request paths (the gateway submit and the direct invoke):
+    # each asks for its key once and forgets it once on exit.
     assert plane.calls["idempotency_key"] == 2
+    assert plane.calls["forget_invoke"] == 2
