@@ -106,7 +106,7 @@ def run_chaos_arm(cfg: ChaosRunConfig, hardened: bool) -> Dict:
     cloud.scheduler.control_node = client  # control plane stays up
     plan = _plan_for(cloud, cfg, client)
     injector = ChaosInjector(cloud.sim, cloud.topology, cloud.network,
-                             metrics=cloud.metrics, tracer=cloud.tracer)
+                             metrics=cloud.metrics)
     events = injector.execute(plan)
 
     fn = cloud.define_function(
@@ -207,8 +207,7 @@ def run_hedge_arm(cfg: ChaosRunConfig, hedge: bool) -> Dict:
         yield from cloud.invoke(client, fn)
         warm_node = cloud.scheduler.last_invocation("gray").executor_node
         injector = ChaosInjector(cloud.sim, cloud.topology, cloud.network,
-                                 metrics=cloud.metrics,
-                                 tracer=cloud.tracer)
+                                 metrics=cloud.metrics)
         injector.gray_node(warm_node, at=cloud.sim.now,
                            slowdown=cfg.gray_slowdown[1])
         for _ in range(requests):

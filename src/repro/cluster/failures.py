@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from ..sim.engine import Simulator
+from ..sim.metrics_registry import LabeledMetricsRegistry
 from ..sim.rng import RandomStream
 from .network import Network, Partition
 from .topology import Topology
@@ -29,29 +30,25 @@ from .topology import Topology
 class FailureInjector:
     """Schedules failures against a topology and its network.
 
-    ``metrics`` / ``tracer`` are optional: when supplied, every
-    injected fault is counted under the ``fault.*`` family and mirrored
-    as a flat trace record, so an incident's blast radius is visible in
-    the same telemetry as its symptoms.
+    Every injected fault event is counted under the ``fault.*`` family
+    of ``metrics`` (a private registry unless one is passed, e.g. the
+    cloud's), so an incident's blast radius is visible in the same
+    telemetry as its symptoms. The counters are the only record.
     """
 
     def __init__(self, sim: Simulator, topology: Topology,
                  network: Optional[Network] = None,
-                 metrics=None, tracer=None):
+                 metrics: Optional[LabeledMetricsRegistry] = None):
         self.sim = sim
         self.topology = topology
         self.network = network
-        self.metrics = metrics
-        self.tracer = tracer
-        self.injected: List[str] = []
+        self.metrics = (metrics if metrics is not None
+                        else LabeledMetricsRegistry())
 
     # -- telemetry ---------------------------------------------------------
     def _note(self, kind: str, **labels) -> None:
-        """Account one injected fault event (no-op without a registry)."""
-        if self.metrics is not None:
-            self.metrics.counter(f"fault.{kind}", **labels).add(1)
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.record(self.sim.now, f"fault.{kind}", **labels)
+        """Account one injected fault event."""
+        self.metrics.counter(f"fault.{kind}", **labels).add(1)
 
     def crash_node(self, node_id: str, at: float,
                    recover_at: Optional[float] = None) -> None:
@@ -67,13 +64,11 @@ class FailureInjector:
             # Publish a recovery event so location-transparent waiters
             # can be woken if recovery ever happens.
             node.recovery_event = self.sim.event(name=f"recover:{node_id}")
-            self.injected.append(f"crash:{node_id}@{self.sim.now}")
             self._note("crash", node=node_id)
             if recover_at is not None:
                 yield self.sim.timeout(recover_at - self.sim.now)
                 node.recover()
                 node.recovery_event.succeed()
-                self.injected.append(f"recover:{node_id}@{self.sim.now}")
                 self._note("recover", node=node_id)
 
         self.sim.spawn(injector(), name=f"crash:{node_id}")
@@ -90,12 +85,10 @@ class FailureInjector:
             if at > self.sim.now:
                 yield self.sim.timeout(at - self.sim.now)
             part: Partition = self.network.partition(group_a, group_b)
-            self.injected.append(f"partition@{self.sim.now}")
             self._note("partition", size=len(group_a))
             if heal_at is not None:
                 yield self.sim.timeout(heal_at - self.sim.now)
                 self.network.heal(part)
-                self.injected.append(f"heal@{self.sim.now}")
                 self._note("heal", size=len(group_a))
 
         self.sim.spawn(injector(), name="partition")
@@ -119,12 +112,10 @@ class FailureInjector:
             if at > self.sim.now:
                 yield self.sim.timeout(at - self.sim.now)
             node.degrade(slowdown)
-            self.injected.append(f"gray:{node_id}@{self.sim.now}")
             self._note("gray", node=node_id)
             if restore_at is not None:
                 yield self.sim.timeout(restore_at - self.sim.now)
                 node.restore_speed()
-                self.injected.append(f"gray-restore:{node_id}@{self.sim.now}")
                 self._note("gray_restored", node=node_id)
 
         self.sim.spawn(injector(), name=f"gray:{node_id}")

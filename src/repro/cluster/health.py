@@ -698,18 +698,18 @@ _MISSING = object()
 
 
 class CompletionLog:
-    """Idempotency-key → result dedup table (effectively-once)."""
+    """Idempotency-key → result dedup table (effectively-once).
+
+    It keeps no tally of its own: :attr:`HealthPlane.deduped` (and the
+    ``invoke.deduped{fn}`` counter) count the lookups that hit.
+    """
 
     def __init__(self):
         self._results: Dict[str, Any] = {}
-        self.hits = 0
 
     def lookup(self, key: str) -> Any:
         """Recorded result for ``key``, or the ``_MISSING`` sentinel."""
-        result = self._results.get(key, _MISSING)
-        if result is not _MISSING:
-            self.hits += 1
-        return result
+        return self._results.get(key, _MISSING)
 
     def record(self, key: str, result: Any) -> None:
         self._results.setdefault(key, result)
@@ -729,13 +729,17 @@ class HealthPlane:
     spawns the per-node heartbeat emitters and the monitor loop. A
     cloud built with ``health=None`` gets :data:`NO_HEALTH` instead,
     whose hooks are no-ops, so the seed event sequence is untouched.
+
+    ``metrics`` (the cloud's registry) and ``node_class_fn`` (node id
+    → breaker node class) are required: the plane has one owner, the
+    cloud, and it always has both.
     """
 
     def __init__(self, sim: Simulator, topology: Topology,
                  config: Optional[HealthConfig] = None, *,
-                 metrics: Optional[LabeledMetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
-                 node_class_fn: Optional[Callable[[str], str]] = None):
+                 metrics: LabeledMetricsRegistry,
+                 node_class_fn: Callable[[str], str],
+                 tracer: Optional[Tracer] = None):
         self.sim = sim
         self.topology = topology
         self.config = config if config is not None else HealthConfig()
@@ -906,9 +910,7 @@ class HealthPlane:
     # -- breaker surface ---------------------------------------------
 
     def node_class(self, node_id: str) -> str:
-        if self._node_class_fn is not None:
-            return self._node_class_fn(node_id)
-        return "cpu"
+        return self._node_class_fn(node_id)
 
     def allow_dispatch(self, fn: str, node_id: str) -> bool:
         """Breaker admission for one attempt (consumes a probe slot)."""
@@ -1044,12 +1046,10 @@ class HealthPlane:
     # -- metrics helpers ----------------------------------------------
 
     def _count(self, name: str, **labels: Any) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, **labels).add()
+        self.metrics.counter(name, **labels).add()
 
     def _gauge(self, name: str, value: float, **labels: Any) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(name, **labels).set(value, self.sim.now)
+        self.metrics.gauge(name, **labels).set(value, self.sim.now)
 
 
 class NoHealth:

@@ -235,8 +235,6 @@ class Network:
         if src != dst:
             self.metrics.counter("network.bytes",
                                  purpose=purpose).add(nbytes)
-            self.metrics.counter("network.messages",
-                                 purpose=purpose).add(1)
         else:
             self.metrics.counter("network.local_bytes",
                                  purpose=purpose).add(nbytes)
@@ -293,15 +291,11 @@ class Network:
         """Account one dropped fire-and-forget message.
 
         Labeled by endpoints and cause (so dropped hand-offs are
-        attributable), rolled up into the bare ``network.dropped``
-        aggregate, and mirrored as a flat trace record for span-level
-        debugging.
+        attributable) and rolled up into the bare ``network.dropped``
+        aggregate. The counter is the only record of a drop.
         """
         self.metrics.counter("network.dropped", src=src, dst=dst,
                              cause=cause).add(1)
-        if self.tracer.enabled:
-            self.tracer.record(self.sim.now, "net.drop", src=src, dst=dst,
-                               cause=cause)
 
     def _egress_link(self, node_id: str) -> Resource:
         link = self._egress.get(node_id)

@@ -90,7 +90,6 @@ class RestTransport:
         # 8. Client unmarshals.
         yield sim.timeout(self.profile.marshal_time(resp_size))
 
-        self.metrics.counter("rest.calls").add(1)
         self.metrics.histogram("rest.latency").observe(sim.now - start)
         return response
 

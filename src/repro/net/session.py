@@ -128,7 +128,6 @@ class SessionTransport:
                                          session.client_node, resp_size,
                                          purpose=f"session:{op}")
 
-        self.metrics.counter("session.calls").add(1)
         self.metrics.histogram("session.latency").observe(sim.now - start)
         return response
 

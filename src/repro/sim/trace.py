@@ -21,8 +21,9 @@ to a per-category index, and ``select()``, iteration and
 from its span on read. Each finished span is therefore stored once.
 The contract that makes this exact: **a span must not be mutated after
 it ends** — its end time, category and attributes *are* its flat
-record. Only ``record()`` (flat-only categories such as ``net.drop``)
-stores a :class:`TraceRecord` directly. ``select()`` is served from the
+record. Only ``record()`` stores a :class:`TraceRecord` directly; no
+kernel code calls it (a kernel fact that is not a span is a metric),
+so it serves callers outside the kernel. ``select()`` is served from the
 per-category index and is O(matches).
 
 Tracing is off by default; a disabled tracer's ``span()`` returns a

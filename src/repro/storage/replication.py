@@ -128,8 +128,8 @@ class ReplicatedStore:
         tracer = self.network.tracer
         exemplar = tracer.exemplar_root_id(tracer.current_span) \
             if tracer.enabled else None
-        self.metrics.histogram("storage.op_latency", op=op,
-                               consistency=consistency) \
+        self.metrics.histogram("storage.op_latency", store=self.name,
+                               op=op, consistency=consistency) \
             .observe(self.sim.now - start, exemplar=exemplar)
 
     def _fanout(self, op: str, n: int) -> None:
@@ -203,7 +203,6 @@ class ReplicatedStore:
                 [self._replica_put(client_node, nid, key, record)
                  for nid in self.replica_nodes],
                 self.majority)
-        self._count("linearizable_writes")
         self._observe_op("write", "linearizable", start)
         return record.version
 
@@ -242,7 +241,6 @@ class ReplicatedStore:
                     self.majority)
                 self._count("read_repairs")
             sp.set(nbytes=winner.nbytes)
-        self._count("linearizable_reads")
         self._observe_op("read", "linearizable", start)
         return winner
 
@@ -325,7 +323,6 @@ class ReplicatedStore:
                     self.sim.spawn(self._propagate(target, nid, key, record),
                                    name=f"propagate:{key}",
                                    inherit_context=False)
-            self._count("eventual_writes")
             self._observe_op("write", "eventual", start)
             return record.version
         raise last_exc
@@ -431,7 +428,6 @@ class ReplicatedStore:
                 last_exc = exc
                 self._note_failover("read", target)
                 continue
-            self._count("eventual_reads")
             self._observe_op("read", "eventual", start)
             return record
         raise last_exc

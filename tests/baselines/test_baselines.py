@@ -314,4 +314,4 @@ def test_siloed_faas_every_state_op_pays_rest():
 
     run(sim, flow())
     assert meter.units("kv.write") == 3
-    assert net.metrics.counter("rest.calls").value == 3
+    assert net.metrics.histogram("rest.latency").count == 3

@@ -111,7 +111,12 @@ def test_execute_schedules_and_heals_everything():
     events = injector.execute(plan)
     assert net._loss_prob == 0.05
     sim.run(until=BUSY_PLAN["horizon"] + 1.0)
-    assert len(injector.injected) >= len(events)
+    counters = injector.metrics.counters()
+    for start, end in (("crash", "recover"), ("gray", "gray_restored"),
+                       ("partition", "heal")):
+        n = sum(1 for ev in events if ev.kind == start)
+        assert counters.get(f"fault.{start}", 0.0) == n
+        assert counters.get(f"fault.{end}", 0.0) == n
     for node in topo.nodes:
         assert node.alive
         assert node.slowdown == 1.0

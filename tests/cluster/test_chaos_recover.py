@@ -94,7 +94,6 @@ def test_injector_executes_recover_as_crash_with_rejoin():
     # Every recover event crashed its node and brought it back.
     for ev in events:
         assert topo.node(ev.node).alive
-    crashes = [e for e in injector.injected if e.startswith("crash:")]
-    recovers = [e for e in injector.injected if e.startswith("recover:")]
-    assert len(crashes) == len(events)
-    assert len(recovers) == len(events)
+    counters = injector.metrics.counters()
+    assert counters["fault.crash"] == len(events)
+    assert counters["fault.recover"] == len(events)

@@ -459,5 +459,4 @@ def test_completion_log_dedups_first_result():
     log.record("k", 41)
     log.record("k", 42)           # second write loses: first completion wins
     assert log.lookup("k") == 41
-    assert log.hits == 1
     assert "k" in log

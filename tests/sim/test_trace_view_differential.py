@@ -105,8 +105,8 @@ def test_chaos_run_view_matches_snapshots(snapshot_clouds):
     client = cloud.client_node()
     cloud.scheduler.control_node = client
     sim = cloud.sim
-    ChaosInjector(sim, cloud.topology, cloud.network, metrics=cloud.metrics,
-                  tracer=cloud.tracer).execute(
+    ChaosInjector(sim, cloud.topology, cloud.network,
+                  metrics=cloud.metrics).execute(
         e21_chaos._plan_for(cloud, cfg, client))
     fn = cloud.define_function("worker", [
         FunctionImpl("wasm", WASM, cpu_task(cpus=1, memory_gb=1),
@@ -129,22 +129,24 @@ def test_chaos_run_view_matches_snapshots(snapshot_clouds):
         while sim.now < cfg.horizon:
             yield sim.timeout(rng.exponential(1.0 / cfg.rate))
             sim.spawn(request())
-            # Fire-and-forget chatter: sends into crashed or lossy
-            # links leave record()-only ``net.drop`` entries.
+            # A record()-only entry per arrival, between span records.
+            cloud.tracer.record(sim.now, "load.arrival", client=client)
+            # Fire-and-forget chatter: some sends land in crashed or
+            # lossy links and are dropped.
             for _ in range(4):
                 cloud.network.send(client, rng.choice(nodes), inbox,
                                    "ping", nbytes=64)
 
     sim.spawn(load())
     cloud.run()
+    assert cloud.metrics.counters().get("network.dropped", 0.0) > 0
     tracer = cloud.tracer
     categories = [r.category for r in tracer.snapshots]
     # record()-only categories interleave with span records...
-    assert "net.drop" in categories
-    first_fault = next(i for i, c in enumerate(categories)
-                       if c.startswith("fault."))
-    assert "invoke" in categories[:first_fault]
-    assert "invoke" in categories[first_fault:]
+    arrivals = [i for i, c in enumerate(categories) if c == "load.arrival"]
+    middle = arrivals[len(arrivals) // 2]
+    assert "invoke" in categories[:middle]
+    assert "invoke" in categories[middle:]
     # ...and failed requests left error spans carrying their cause.
     errored = [s for s in tracer.spans() if s.status == STATUS_ERROR]
     assert errored and all("cause" in s.attributes for s in errored)
