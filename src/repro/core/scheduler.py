@@ -323,7 +323,7 @@ class FunctionScheduler:
                     preferred_node: Optional[str],
                     impl_name: Optional[str], root,
                     policy: RetryPolicy,
-                    idem_key: Optional[str] = None) -> Generator:
+                    idem_key: Optional[str]) -> Generator:
         """Attempt until success, exhaustion, veto, or deadline.
 
         A legacy policy (no jitter, no budget, no deadline) reproduces
@@ -430,7 +430,7 @@ class FunctionScheduler:
                     preferred_node: Optional[str],
                     impl_name: Optional[str], root,
                     policy: RetryPolicy,
-                    idem_key: Optional[str] = None) -> Generator:
+                    idem_key: Optional[str]) -> Generator:
         """Primary attempt chain plus a delayed speculative duplicate.
 
         The primary runs as its own process. If it produces no outcome
@@ -489,8 +489,8 @@ class FunctionScheduler:
     def _attempt(self, client_node: str, fn_ref: Reference,
                  fn_def: FunctionDef, args: Dict[str, Reference],
                  request: Dict[str, Any], preferred_node: Optional[str],
-                 impl_name: Optional[str], root_span=None,
-                 idem_key: Optional[str] = None) -> Generator:
+                 impl_name: Optional[str], root_span,
+                 idem_key: Optional[str]) -> Generator:
         kernel = self.kernel
         sim = kernel.sim
         tracer = kernel.tracer
@@ -515,9 +515,8 @@ class FunctionScheduler:
         inv.cold_start = pool.cold_starts > size_before
         inv.executor_node = executor.node.node_id
         inv.started_at = sim.now
-        if root_span is not None:
-            root_span.set(impl=impl.name, node=inv.executor_node,
-                          cold=inv.cold_start)
+        root_span.set(impl=impl.name, node=inv.executor_node,
+                      cold=inv.cold_start)
 
         if not health.allow_dispatch(fn_def.name, inv.executor_node):
             # The (fn, node class) breaker refused this dispatch: hand

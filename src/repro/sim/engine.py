@@ -166,9 +166,6 @@ class Event:
         sim._immediate.append((sim._now, 1, sim._seq, self))
         return self
 
-    def _mark_processed(self) -> None:
-        self._state = PROCESSED
-
     def __repr__(self) -> str:
         label = self.name or self.__class__.__name__
         return f"<{label} state={self._state}>"

@@ -204,20 +204,17 @@ class LabeledMetricsRegistry:
             family.children[key] = child
         return child
 
-    def _memoize(self, cache_key: tuple, family: _Family,
-                 labels: Dict[str, Any], child: Any) -> None:
-        """Cache ``child`` under the call shape, unless it is the
-        overflow catch-all (whose every lookup must count a drop)."""
-        if not labels or label_key(labels) in family.children:
-            try:
-                self._fast[cache_key] = child
-            except TypeError:
-                pass  # unhashable label value: stay on the slow path
+    def _instrument(self, kind: str, name: str, labels: Dict[str, Any],
+                    factory) -> Any:
+        """The ``kind`` instrument for ``name`` and ``labels``: the one
+        memoized lookup behind :meth:`counter`, :meth:`histogram` and
+        :meth:`gauge`.
 
-    # -- instruments ------------------------------------------------------
-    def counter(self, name: str, **labels: Any) -> Counter:
-        """Get or create a counter (the family aggregate if unlabeled)."""
-        cache_key = ("counter", name, *labels.items())
+        A call whose label values are unhashable skips the memo and
+        resolves on the slow path every time. The overflow catch-all is
+        never memoized: its every lookup must count a drop.
+        """
+        cache_key = (kind, name, *labels.items())
         try:
             child = self._fast.get(cache_key)
         except TypeError:
@@ -225,13 +222,17 @@ class LabeledMetricsRegistry:
             cache_key = None
         if child is not None:
             return child
-        family = self._family(
-            name, "counter", lambda n, agg: LabeledCounter(n, agg))
-        child = self._child(family, labels,
-                            lambda n, agg: LabeledCounter(n, agg))
-        if cache_key is not None:
-            self._memoize(cache_key, family, labels, child)
+        family = self._family(name, kind, factory)
+        child = self._child(family, labels, factory)
+        if cache_key is not None and (
+                not labels or label_key(labels) in family.children):
+            self._fast[cache_key] = child
         return child
+
+    # -- instruments ------------------------------------------------------
+    def counter(self, name: str, **labels: Any) -> Counter:
+        """Get or create a counter (the family aggregate if unlabeled)."""
+        return self._instrument("counter", name, labels, LabeledCounter)
 
     def set_histogram_backend(self, name: str, backend: str) -> None:
         """Pick the backend for one histogram family, before first use.
@@ -257,20 +258,8 @@ class LabeledMetricsRegistry:
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         """Get or create a histogram (the family aggregate if unlabeled)."""
-        cache_key = ("histogram", name, *labels.items())
-        try:
-            child = self._fast.get(cache_key)
-        except TypeError:
-            child = None
-            cache_key = None
-        if child is not None:
-            return child
-        factory = self._histogram_factory(name)
-        family = self._family(name, "histogram", factory)
-        child = self._child(family, labels, factory)
-        if cache_key is not None:
-            self._memoize(cache_key, family, labels, child)
-        return child
+        return self._instrument("histogram", name, labels,
+                                self._histogram_factory(name))
 
     def merged_sketch(self, name: str,
                       **labels: Any) -> Optional[QuantileSketch]:
@@ -320,21 +309,9 @@ class LabeledMetricsRegistry:
         The aggregate of a labeled gauge family tracks the *sum* of its
         children's levels.
         """
-        cache_key = ("gauge", name, *labels.items())
-        try:
-            child = self._fast.get(cache_key)
-        except TypeError:
-            child = None
-            cache_key = None
-        if child is not None:
-            return child
-        family = self._family(
-            name, "gauge", lambda n, agg: LabeledGauge(n, aggregate=agg))
-        child = self._child(family, labels,
-                            lambda n, agg: LabeledGauge(n, aggregate=agg))
-        if cache_key is not None:
-            self._memoize(cache_key, family, labels, child)
-        return child
+        return self._instrument(
+            "gauge", name, labels,
+            lambda n, agg: LabeledGauge(n, aggregate=agg))
 
     # -- snapshots ---------------------------------------------------------
     def counters(self) -> Dict[str, float]:

@@ -146,11 +146,6 @@ class QuantileSketch:
             raise ValueError("empty sketch has no mean")
         return self._sum / self._count
 
-    @property
-    def bucket_count(self) -> int:
-        """Live buckets (memory proxy); bounded by ``max_buckets``."""
-        return len(self._buckets) + (1 if self._zero_count else 0)
-
     def _value_of(self, key: int) -> float:
         return 2.0 * self._gamma ** key / (self._gamma + 1.0)
 

@@ -123,8 +123,8 @@ class Span:
 
     A plain slotted class (not a dataclass): spans are the dominant
     allocation of a traced run, and finished-and-dropped spans are
-    recycled through the tracer's freelist (see
-    :meth:`Tracer._open_span`), so construction and field reset must be
+    recycled through the tracer's freelist at its one checkout,
+    :meth:`Tracer._open_span`, so construction and field reset must be
     cheap. ``_kids`` is the deferred child list — ``None`` until the
     first child arrives, replacing the old per-tracer
     ``{parent_id: [children]}`` dict and its per-span ``setdefault``.
@@ -364,15 +364,11 @@ class _SpanContext:
     dict resolved once by :meth:`Tracer.span` (``_ctx``) stays valid
     for both.
 
-    ``__enter__`` and ``__exit__`` inline the open/close paths of
-    :meth:`Tracer._open_span` and :meth:`Tracer.end_span` rather than
-    call them: one span pair is the unit of work of every traced hot
-    loop, and the call overhead of the layered path measurably
-    dominates it. Any semantic change to those methods must be
-    mirrored here (the differential tests in
-    tests/sim/test_trace_pooling.py and test_trace_sampling.py pin
-    the equivalence). Exit falls back to :meth:`Tracer.end_span`
-    whenever deferred trees or orphans may be involved.
+    Entry resolves the parent from that context and checks the span
+    out through :meth:`Tracer._open_span`; exit closes it through
+    :meth:`Tracer.end_span`. Those two methods are the only span open
+    and close paths, so explicit ``start_span``/``end_span`` callers
+    and ``with tracer.span(...)`` produce identical trees.
     """
 
     __slots__ = ("_tracer", "_name", "_category", "_parent", "_attributes",
@@ -380,8 +376,7 @@ class _SpanContext:
 
     def __init__(self, tracer: "Tracer", name: str, category: str,
                  parent: Optional[Span], attributes: Dict[str, Any],
-                 sampling: Optional[str] = None,
-                 ctx: Optional[Dict[str, Any]] = None):
+                 sampling: Optional[str], ctx: Dict[str, Any]):
         self._tracer = tracer
         self._name = name
         self._category = category
@@ -393,69 +388,18 @@ class _SpanContext:
         self._ctx = ctx
 
     def __enter__(self) -> Span:
-        # Inlined Tracer._open_span — keep the two in sync.
         tracer = self._tracer
         ctx = self._ctx
-        if ctx is None:
-            ctx = tracer._context()
-            self._ctx = ctx
         current = ctx.get(_CTX_KEY)
         parent = self._parent
         if parent is None and current is not _UNSAMPLED:
             parent = current
         if parent is not None and parent.span_id < 0:
             parent = None
-        sim = tracer._sim
-        if sim is not None:
-            start = sim._now
-        elif tracer._clock is not None:
-            start = tracer._clock()
-        else:
-            start = 0.0
-        span_id = next(tracer._ids)
-        name = _intern(self._name)
-        category = _intern(self._category)
-        parent_id = parent.span_id if parent is not None else None
         # The attribute dict was freshly built by span()'s **kwargs, so
-        # the span takes ownership without the defensive copy of the
-        # public start_span signature.
-        attributes = self._attributes
-        span = None
-        pool = tracer._span_pool
-        while pool:
-            candidate = pool.popleft()
-            # See _open_span: 2 = local + getrefcount argument.
-            if getrefcount(candidate) == 2:
-                span = candidate
-                span.span_id = span_id
-                span.parent_id = parent_id
-                span.name = name
-                span.category = category
-                span.start = start
-                span.attributes = attributes
-                span.end = None
-                span.status = STATUS_OK
-                span.error = None
-                span.sampling = None
-                span._kids = None
-                break
-        if span is None:
-            span = Span(span_id=span_id, parent_id=parent_id, name=name,
-                        category=category, start=start,
-                        attributes=attributes)
-        tracer._spans_by_id[span_id] = span
-        if parent is not None:
-            kids = parent._kids
-            if kids is None:
-                parent._kids = [span]
-            else:
-                kids.append(span)
-            ps = parent.sampling
-            if ps is not None:
-                if ps == DEFER or ps == _DEFER_CHILD:
-                    span.sampling = _DEFER_CHILD
-                elif ps == _ORPHAN:
-                    span.sampling = _ORPHAN
+        # the span takes ownership of it.
+        span = tracer._open_span(self._name, self._category, parent,
+                                 self._attributes, tracer._now())
         if self._sampling is not None:
             span.sampling = self._sampling
         self._span = span
@@ -464,51 +408,21 @@ class _SpanContext:
         return span
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
-        tracer = self._tracer
         span = self._span
         ctx = self._ctx
         if self._saved is None:
             ctx.pop(_CTX_KEY, None)
         else:
             ctx[_CTX_KEY] = self._saved
-        if exc_type is not None:
-            # The exception type is a queryable attribute ("cause"), so
-            # error-tail analysis can group spans by failure mode
-            # without parsing the human-readable error string.
-            if span is not None and span is not NULL_SPAN:
-                span.attributes.setdefault("cause", exc_type.__name__)
-            tracer.end_span(span, status=STATUS_ERROR,
-                            error=f"{exc_type.__name__}: {exc}")
+        if exc_type is None:
+            self._tracer.end_span(span)
             return False
-        # Inlined Tracer.end_span fast path — keep the two in sync.
-        # Any sampling mark (DEFER root, deferred child, orphan) takes
-        # the full method, which knows how to buffer or drop.
-        if span is None or span.sampling is not None:
-            tracer.end_span(span)
-            return False
-        if span.end is not None:
-            raise ValueError(f"span {span.name!r} already ended")
-        sim = tracer._sim
-        if sim is not None:
-            end = sim._now
-        elif tracer._clock is not None:
-            end = tracer._clock()
-        else:
-            end = 0.0
-        span.end = end
-        span.status = STATUS_OK
-        span.error = None
-        # The finished span is its own flat record (built on read).
-        tracer._records.append(span)
-        by_category = tracer._by_category
-        bucket = by_category.get(span.category)
-        if bucket is None:
-            by_category[span.category] = [span]
-        else:
-            bucket.append(span)
-        if span.parent_id is None and tracer._root_listeners \
-                and tracer._spans_by_id.get(span.span_id) is span:
-            tracer._notify_root(span)
+        # The exception type is a queryable attribute ("cause"), so
+        # error-tail analysis can group spans by failure mode without
+        # parsing the human-readable error string.
+        span.attributes.setdefault("cause", exc_type.__name__)
+        self._tracer.end_span(span, status=STATUS_ERROR,
+                              error=f"{exc_type.__name__}: {exc}")
         return False
 
 
@@ -624,7 +538,7 @@ class Tracer:
 
     def _now(self) -> float:
         if self._sim is not None:
-            return self._sim.now
+            return self._sim._now
         if self._clock is not None:
             return self._clock()
         return 0.0
@@ -664,15 +578,10 @@ class Tracer:
         cat = category if category is not None else name
         if self._categories is not None and cat not in self._categories:
             return NULL_SPAN
-        # Resolve the process context dict once (inlined _context);
-        # the returned context manager reuses it for both entry and
-        # exit, which run in the same process as this call.
-        sim = self._sim
-        if sim is not None:
-            proc = sim.active_process
-            ctx = proc.context if proc is not None else self._local_ctx
-        else:
-            ctx = self._local_ctx
+        # Resolve the process context dict once; the returned context
+        # manager reuses it for both entry and exit, which run in the
+        # same process as this call.
+        ctx = self._context()
         sampling = None
         if self._sampler is not None and parent is None:
             current = ctx.get(_CTX_KEY)
@@ -703,7 +612,8 @@ class Tracer:
     def _open_span(self, name: str, category: str,
                    parent: Optional[Span],
                    attributes: Dict[str, Any], start: float) -> Span:
-        """Hot-path span checkout; takes ownership of ``attributes``.
+        """The one span checkout (behind ``span()`` and ``start_span``);
+        takes ownership of ``attributes``.
 
         Recycles a pooled span when one is available: every field is
         reassigned here, so a recycled span is indistinguishable from a
@@ -918,7 +828,11 @@ class Tracer:
 
     def _append_record(self, entry: _Entry) -> None:
         self._records.append(entry)
-        self._by_category.setdefault(entry.category, []).append(entry)
+        bucket = self._by_category.get(entry.category)
+        if bucket is None:
+            self._by_category[entry.category] = [entry]
+        else:
+            bucket.append(entry)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -277,30 +277,63 @@ def test_fast_cache_label_orders_share_one_child(reg):
     assert len(reg._fast) == 2
 
 
-def test_fast_cache_never_caches_overflow_children():
+KINDS = ("counter", "histogram", "gauge")
+
+
+def _update(inst, kind, value):
+    """One update of any instrument kind."""
+    if kind == "counter":
+        inst.add(value)
+    elif kind == "histogram":
+        inst.observe(value)
+    else:
+        inst.set(value, now=0.0)
+
+
+def _read(reg, kind, instrument):
+    """The exported value of one instrument: counter value, histogram
+    max, gauge level (each equals the one update the tests make)."""
+    if kind == "counter":
+        return reg.counters()[instrument]
+    if kind == "histogram":
+        return reg.histograms()[instrument]["max"]
+    return reg.gauges(0.0)[instrument]["level"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fast_cache_never_caches_overflow_children(kind):
     reg = LabeledMetricsRegistry(max_label_sets=2)
-    reg.counter("c", k="1").add(1)
-    reg.counter("c", k="2").add(1)
+    get = getattr(reg, kind)
+    _update(get("c", k="1"), kind, 1)
+    _update(get("c", k="2"), kind, 1)
     # Over the cap: collapses to __overflow__ and counts a drop —
     # on *every* call, so the overflow child must stay uncached.
     for expected in (1, 2, 3):
-        over = reg.counter("c", k="over")
+        over = get("c", k="over")
         assert reg.dropped_label_sets == expected
-    assert ("counter", "c", ("k", "over")) not in reg._fast
-    over.add(5)
-    assert reg.counters()[f"c{{{OVERFLOW_LABEL}=true}}"] == 5
+    assert (kind, "c", ("k", "over")) not in reg._fast
+    _update(over, kind, 5)
+    assert _read(reg, kind, f"c{{{OVERFLOW_LABEL}=true}}") == 5
     # Materialized children still memoize.
-    assert ("counter", "c", ("k", "1")) in reg._fast
+    assert (kind, "c", ("k", "1")) in reg._fast
 
 
-def test_fast_cache_skips_unhashable_label_values(reg):
-    child = reg.counter("c", k=["un", "hashable"])
-    child.add(2)
-    assert reg.counter("c", k=["un", "hashable"]) is child
+@pytest.mark.parametrize("kind", KINDS)
+def test_fast_cache_skips_unhashable_label_values(reg, kind):
+    get = getattr(reg, kind)
+    child = get("c", k=["un", "hashable"])
+    _update(child, kind, 2)
+    assert get("c", k=["un", "hashable"]) is child
     assert len(reg._fast) == 0
+    assert _read(reg, kind, "c{k=['un', 'hashable']}") == 2
 
 
-def test_kind_mismatch_still_raises_with_warm_cache(reg):
-    reg.counter("m", k="1").add(1)
-    with pytest.raises(TypeError):
-        reg.histogram("m", k="1")
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_mismatch_still_raises_with_warm_cache(reg, kind):
+    get = getattr(reg, kind)
+    _update(get("m", k="1"), kind, 1)
+    assert get("m", k="1") is get("m", k="1")  # served by the memo
+    for other in KINDS:
+        if other != kind:
+            with pytest.raises(TypeError):
+                getattr(reg, other)("m", k="1")

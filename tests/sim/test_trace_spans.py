@@ -3,7 +3,8 @@
 import pytest
 
 from repro.sim import NULL_SPAN, NULL_TRACER, Tracer
-from repro.sim.trace import STATUS_ERROR, STATUS_OK
+from repro.sim.trace import (DEFER, STATUS_ERROR, STATUS_OK,
+                             ErrorTailSampler, NeverSample)
 
 
 class FakeClock:
@@ -165,3 +166,100 @@ def test_unfinished_span_duration_raises(tracer):
         _ = span.duration
     with pytest.raises(ValueError):
         tracer.end_span(tracer.end_span(span))  # double end
+
+
+def _tree_via_context_managers(tracer, clock, fail):
+    """root > mid > (leaf, leaf); the second leaf raises when ``fail``."""
+    with tracer.span("req", fn="f") as root:
+        clock.tick()
+        with tracer.span("mid", category="stage", n=1) as mid:
+            clock.tick()
+            with tracer.span("leaf", category="net.transfer",
+                             nbytes=10) as first:
+                clock.tick()
+            try:
+                with tracer.span("leaf", category="net.transfer",
+                                 nbytes=20) as second:
+                    clock.tick()
+                    if fail:
+                        raise RuntimeError("boom")
+            except RuntimeError:
+                pass
+            clock.tick()
+        clock.tick()
+    return [root, mid, first, second]
+
+
+def _tree_via_explicit_calls(tracer, clock, fail, defer):
+    """The same tree, opened with ``start_span(parent=)`` and closed
+    with ``end_span`` at the same clock times."""
+    root = tracer.start_span("req", fn="f")
+    if defer:
+        root.sampling = DEFER  # what span() applies to a DEFER root
+    clock.tick()
+    mid = tracer.start_span("mid", parent=root, category="stage", n=1)
+    clock.tick()
+    first = tracer.start_span("leaf", parent=mid, category="net.transfer",
+                              nbytes=10)
+    clock.tick()
+    tracer.end_span(first)
+    second = tracer.start_span("leaf", parent=mid, category="net.transfer",
+                               nbytes=20)
+    clock.tick()
+    if fail:
+        second.set(cause="RuntimeError")
+        tracer.end_span(second, status=STATUS_ERROR,
+                        error="RuntimeError: boom")
+    else:
+        tracer.end_span(second)
+    clock.tick()
+    tracer.end_span(mid)
+    clock.tick()
+    tracer.end_span(root)
+    return [root, mid, first, second]
+
+
+def _observed(tracer, spans, roots_seen):
+    fields = [(s.span_id, s.parent_id, s.name, s.category, s.start, s.end,
+               s.status, s.error, s.sampling, dict(s.attributes),
+               [k.span_id for k in tracer.children(s)]) for s in spans]
+    flat = [(type(e).__name__, e.span_id) for e in tracer._records]
+    return (fields, flat, list(tracer), roots_seen, tracer.span_count,
+            tracer.deferred_kept, tracer.deferred_dropped)
+
+
+@pytest.mark.parametrize("sampled,fail", [
+    pytest.param(False, False, id="no-sampler"),
+    pytest.param(False, True, id="no-sampler-error"),
+    pytest.param(True, True, id="defer-error-kept"),
+    pytest.param(True, False, id="defer-clean-dropped"),
+])
+def test_context_manager_and_explicit_calls_build_the_same_tree(sampled,
+                                                               fail):
+    observed = []
+    for explicit in (False, True):
+        clock = FakeClock()
+        # start_span never consults the sampler; span() does.
+        tracer = Tracer(enabled=True, clock=clock,
+                        sampler=ErrorTailSampler(NeverSample())
+                        if sampled else None)
+        roots_seen = []
+        tracer.add_root_listener(
+            lambda r: roots_seen.append((r.span_id, r.end, r.sampling)))
+        if explicit:
+            spans = _tree_via_explicit_calls(tracer, clock, fail, sampled)
+        else:
+            spans = _tree_via_context_managers(tracer, clock, fail)
+        observed.append(_observed(tracer, spans, roots_seen))
+    assert observed[0] == observed[1]
+    fields, flat, records, roots_seen, span_count, kept, dropped = \
+        observed[0]
+    if sampled and not fail:
+        assert (flat, roots_seen, span_count, dropped) == ([], [], 0, 1)
+    else:
+        # Flat log in end order: leaves, mid, root; one listener call.
+        assert [sid for _, sid in flat] == [3, 4, 2, 1]
+        assert roots_seen == [(1, 6.0, "error_tail" if sampled else None)]
+        assert records[1].payload == {"nbytes": 20, **(
+            {"cause": "RuntimeError"} if fail else {})}
+        assert span_count == 4 and kept == int(sampled)
