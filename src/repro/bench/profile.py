@@ -3,13 +3,11 @@
 Profiles the pinned throughput workloads (``repro.bench.throughput``)
 under :mod:`cProfile` and prints a :mod:`pstats` table, so "where does
 the hot loop actually spend its time" is one command instead of a
-hand-written harness. Profiling the *reference* stack shows what the
-fast-path refactor removed; profiling *current* shows what is left.
+hand-written harness.
 
 Usage::
 
-    python -m repro.bench.profile                    # hot loop, current
-    python -m repro.bench.profile --stack reference  # pre-refactor stack
+    python -m repro.bench.profile                    # hot loop
     python -m repro.bench.profile --sort cumtime --limit 40
     python -m repro.bench.profile --invoke           # full invoke path
     python -m repro.bench.profile --out hot.pstats   # for snakeviz etc.
@@ -27,26 +25,23 @@ import pstats
 import sys
 from typing import List, Optional
 
-from .throughput import STACKS, _HotLoopPlan, run_hot_loop_bench, \
-    run_invoke_bench
+from .throughput import run_hot_loop_bench, run_invoke_bench
 
 #: pstats sort keys exposed on the CLI.
 SORT_KEYS = ("tottime", "cumtime", "ncalls")
 
 
-def profile_hot_loop(stack: str = "current",
-                     sort: str = "tottime",
+def profile_hot_loop(sort: str = "tottime",
                      limit: int = 25,
                      out: Optional[str] = None,
                      stream=None) -> pstats.Stats:
-    """Profile the hot-loop bench on one stack; print and return stats."""
-    plan = _HotLoopPlan()
+    """Profile the hot-loop bench; print and return stats."""
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_hot_loop_bench(stack, plan)
+    result = run_hot_loop_bench()
     profiler.disable()
     stream = stream if stream is not None else sys.stdout
-    print(f"stack={stack} events={result['events']} "
+    print(f"events={result['events']} "
           f"wall={result['wall_s']:.3f}s "
           f"({result['events_per_sec']:,.0f} ev/s) "
           f"fingerprint={result['fingerprint']}", file=stream)
@@ -86,9 +81,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.profile",
         description=__doc__.split("\n")[0])
-    parser.add_argument("--stack", choices=sorted(STACKS),
-                        default="current",
-                        help="hot-loop stack to profile (default current)")
     parser.add_argument("--invoke", action="store_true",
                         help="profile the full invoke bench instead of "
                              "the hot loop")
@@ -107,8 +99,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         profile_invoke(serial=args.serial, sort=args.sort,
                        limit=args.limit, out=args.out)
     else:
-        profile_hot_loop(stack=args.stack, sort=args.sort,
-                         limit=args.limit, out=args.out)
+        profile_hot_loop(sort=args.sort, limit=args.limit, out=args.out)
     return 0
 
 

@@ -10,18 +10,20 @@ metered invoke storm does, and reports both a *speed* number
 every virtual-time outcome, span tally, and counter value).
 
 **Machine-relative gating.** Absolute events/sec numbers are useless as
-a CI bar — runners disagree by integer factors. Instead the same
-workload runs twice in one process: once on the live stack and once on
-the frozen pre-refactor stack (:mod:`repro.bench._reference`, a
-byte-level snapshot of the seed modules). The regress gate
+a CI bar — runners disagree by integer factors. So :func:`run_benchmarks`
+also times the repo's calibration kernel (``perfbench/reference.py``, a
+fixed pure-Python event loop that shares no code with the program)
+around every hot-loop repeat, and reports ``hot_loop_events_per_kernel``:
+the best hot-loop events/sec times the fastest kernel run, i.e. the
+hot-loop events processed in the time one kernel run takes. Host speed
+largely cancels out of the product. The regress gate
 (``python -m repro.bench.regress --only throughput``) requires
 
-* ``current.events_per_sec / reference.events_per_sec >= min_speedup``
-  (the committed bar is 5x), and
-* byte-identical fingerprints from the two stacks and the committed
-  baseline (``benchmarks/baselines/throughput.json``) — the frozen
-  stack is also a behavioral oracle, so the hot path can only get
-  faster, never different.
+* ``hot_loop_events_per_kernel >= min_hot_loop_events_per_kernel``
+  (the committed floor is 5x what the pre-refactor kernel read), and
+* byte-identical fingerprints against the committed baseline
+  (``benchmarks/baselines/throughput.json``), so the hot path can
+  only get faster, never different.
 
 **Hot-loop workload** (all delays precomputed from a seeded
 :class:`~repro.sim.rng.RandomStream` outside the timed region):
@@ -39,14 +41,14 @@ byte-level snapshot of the seed modules). The regress gate
   tier-migration and priority-0 coverage.
 
 **Invoke bench** — warm invokes through the full PCSI stack
-(`PCSICloud`), batched through ``invoke_many`` when the kernel provides
-it and falling back to serial ``invoke`` otherwise. The fingerprint
-covers per-invoke latency/placement outcomes and the metrics counters,
-so the batched entry point is pinned byte-identical to the serial loop.
+(`PCSICloud`), batched through ``invoke_many`` unless ``serial=True``
+picks the serial ``invoke`` loop. The fingerprint covers per-invoke
+latency/placement outcomes and the metrics counters, so the batched
+entry point is pinned byte-identical to the serial loop.
 
 **Histogram-backend probe** — ``--histogram-backend sketch`` runs the
-hot loop on the current stack twice, once per histogram backend, and
-reports retained histogram bytes for both: the exact backend keeps
+hot loop twice, once per histogram backend, and reports retained
+histogram bytes for both: the exact backend keeps
 every observed sample (unbounded, O(n) per series), the sketch backend
 a bounded bucket table (~1% quantile error). This mode is a standalone
 memory/speed probe — it never feeds the regress gate, whose
@@ -56,7 +58,7 @@ Usage::
 
     python -m repro.bench.throughput            # print JSON report
     python -m repro.bench.throughput --repeat 3 # best-of-3 timing
-    python -m repro.bench.throughput --serial   # force serial invokes
+    python -m repro.bench.throughput --serial   # serial invoke loop
     python -m repro.bench.throughput --histogram-backend sketch
 """
 
@@ -64,16 +66,21 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import sys
 import time
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..cluster.resources import cpu_task
 from ..core.functions import FunctionImpl
 from ..core.system import PCSICloud
 from ..faas.platforms import WASM
+from ..sim.engine import Interrupt, Simulator
+from ..sim.metrics_registry import LabeledMetricsRegistry
 from ..sim.rng import RandomStream
+from ..sim.trace import Tracer
 
 #: Seed for the hot-loop delay/label streams.
 ENGINE_SEED = 4242
@@ -101,6 +108,12 @@ INVOKE_WARMUP = 25
 INVOKE_COUNT = 1500
 INVOKE_WORK_OPS = 5e5
 
+#: The calibration kernel, loaded by path from the checkout root (as
+#: ``regress.BASELINE_DIR`` finds ``benchmarks/``). It is the repo's one
+#: speed yardstick and shares no code with the program.
+CALIBRATION_KERNEL = Path(__file__).resolve().parents[3] / "perfbench" \
+    / "reference.py"
+
 
 def _digest(payload: Any) -> str:
     """Deterministic 16-hex digest of a JSON-serializable payload."""
@@ -108,52 +121,9 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-class Stack:
-    """One (Simulator, Tracer, LabeledMetricsRegistry) implementation.
-
-    ``current`` is the live code under test; ``reference`` is the
-    frozen pre-refactor snapshot in :mod:`repro.bench._reference`.
-    """
-
-    def __init__(self, name: str, simulator: Callable[[], Any],
-                 tracer: Callable[[], Any], registry: Callable[[], Any],
-                 interrupt: Any):
-        self.name = name
-        self.simulator = simulator
-        self.tracer = tracer
-        self.registry = registry
-        self.interrupt = interrupt
-
-
-def _current_stack() -> Stack:
-    from ..sim.engine import Interrupt, Simulator
-    from ..sim.trace import Tracer
-    from ..sim.metrics_registry import LabeledMetricsRegistry
-    return Stack("current", Simulator, lambda: Tracer(enabled=True),
-                 LabeledMetricsRegistry, Interrupt)
-
-
-def _reference_stack() -> Stack:
-    from ._reference.engine import Interrupt, Simulator
-    from ._reference.trace import Tracer
-    from ._reference.metrics_registry import LabeledMetricsRegistry
-    return Stack("reference", Simulator, lambda: Tracer(enabled=True),
-                 LabeledMetricsRegistry, Interrupt)
-
-
-STACKS: Dict[str, Callable[[], Stack]] = {
-    "current": _current_stack,
-    "reference": _reference_stack,
-}
-
-
 class _TailPolicy:
     """Head-sampling policy of the bench: record everything except
-    ``tail`` roots, which are deferred (kept only on error).
-
-    Duck-typed against both stacks' ``SamplingPolicy`` protocol — the
-    decision constants are plain strings shared by both.
-    """
+    ``tail`` roots, which are deferred (kept only on error)."""
 
     @staticmethod
     def decide(name: str, attributes: Dict[str, Any]) -> str:
@@ -303,28 +273,21 @@ def histogram_state_bytes(metrics) -> int:
     return total
 
 
-def run_hot_loop_bench(stack_name: str = "current",
-                       plan: Optional[_HotLoopPlan] = None,
+def run_hot_loop_bench(plan: Optional[_HotLoopPlan] = None,
                        histogram_backend: str = "exact"
                        ) -> Dict[str, Any]:
-    """Time the pinned hot-loop workload on one stack.
+    """Time the pinned hot-loop workload.
 
     ``histogram_backend="sketch"`` is the standalone memory probe's
-    opt-in (current stack only — the frozen reference predates
-    sketches) and changes the fingerprint, so it never feeds the
-    gate path.
+    opt-in and changes the fingerprint, so it never feeds the gate
+    path.
     """
-    if histogram_backend != "exact" and stack_name != "current":
-        raise ValueError("histogram_backend only applies to the "
-                         "current stack")
-    stack = STACKS[stack_name]()
     if plan is None:
         plan = _HotLoopPlan()
-    sim = stack.simulator()
-    tracer = stack.tracer().bind(sim)
+    sim = Simulator()
+    tracer = Tracer(enabled=True).bind(sim)
     tracer.set_sampler(_TailPolicy())
-    metrics = stack.registry() if histogram_backend == "exact" \
-        else stack.registry(histogram_backend=histogram_backend)
+    metrics = LabeledMetricsRegistry(histogram_backend=histogram_backend)
     done: List[str] = []
 
     for i in range(SESSIONS):
@@ -340,7 +303,7 @@ def run_hot_loop_bench(stack_name: str = "current",
     for i in range(SLEEPER_PROCS):
         sim.spawn(_sleeper(sim, plan.sleeper_delays[i]))
     for i in range(INTERRUPT_PAIRS):
-        victim = sim.spawn(_victim(sim, stack.interrupt, i, done))
+        victim = sim.spawn(_victim(sim, Interrupt, i, done))
         sim.spawn(_interrupter(sim, plan.interrupt_delays[i], victim))
 
     start = time.perf_counter()
@@ -361,7 +324,6 @@ def run_hot_loop_bench(stack_name: str = "current",
         "histograms": metrics.histograms(),
     })
     return {
-        "stack": stack_name,
         "events": events,
         "wall_s": wall,
         "events_per_sec": events / wall if wall > 0 else 0.0,
@@ -433,48 +395,52 @@ def run_invoke_bench(serial: bool = False) -> Dict[str, Any]:
     }
 
 
-def run_benchmarks(repeat: int = 2, serial: bool = False) -> Dict[str, Any]:
-    """Run the hot loop on both stacks plus the invoke bench.
+def _calibration_timer() -> Callable[[], float]:
+    """The calibration kernel's ``measure``: host seconds per run."""
+    spec = importlib.util.spec_from_file_location(
+        "calibration_kernel", CALIBRATION_KERNEL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.measure
 
-    Each timing repeats ``repeat`` times and keeps the fastest run.
-    The current and reference stacks alternate (current, reference,
-    current, ...) so slow machine drift hits both equally.
-    Fingerprints must agree across repeats *and across stacks*;
-    disagreement means nondeterminism (or a behavior-changing
-    refactor) and is reported as an error.
+
+def run_benchmarks(repeat: int = 2, serial: bool = False) -> Dict[str, Any]:
+    """Run the hot loop and the invoke bench, calibrated to this host.
+
+    Each timing repeats ``repeat`` times and keeps the fastest run. The
+    calibration kernel runs twice before and twice after every hot-loop
+    repeat and once more at the end; its fastest run is ``kernel_s``.
+    Fingerprints must agree across repeats; disagreement means the
+    workload is nondeterministic and is reported as an error.
     """
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
+    measure_kernel = _calibration_timer()
     plan = _HotLoopPlan()
-    current_runs: List[Dict[str, Any]] = []
-    reference_runs: List[Dict[str, Any]] = []
+    kernel_times: List[float] = []
+    hot_runs: List[Dict[str, Any]] = []
     for _ in range(repeat):
-        current_runs.append(run_hot_loop_bench("current", plan))
-        reference_runs.append(run_hot_loop_bench("reference", plan))
+        kernel_times += (measure_kernel(), measure_kernel())
+        hot_runs.append(run_hot_loop_bench(plan))
+        kernel_times += (measure_kernel(), measure_kernel())
     invoke_runs = [run_invoke_bench(serial=serial) for _ in range(repeat)]
+    kernel_times.append(measure_kernel())
 
-    prints = {r["fingerprint"] for r in current_runs + reference_runs}
-    if len(prints) != 1:
-        raise RuntimeError(
-            f"hot-loop fingerprints diverged: {sorted(prints)} — the "
-            "current and reference stacks disagree, or the workload is "
-            "nondeterministic")
-    invoke_prints = {r["fingerprint"] for r in invoke_runs}
-    if len(invoke_prints) != 1:
-        raise RuntimeError(
-            f"invoke fingerprints diverged across repeats: "
-            f"{sorted(invoke_prints)} — the workload is nondeterministic")
+    for label, runs in (("hot-loop", hot_runs), ("invoke", invoke_runs)):
+        prints = {r["fingerprint"] for r in runs}
+        if len(prints) != 1:
+            raise RuntimeError(
+                f"{label} fingerprints diverged across repeats: "
+                f"{sorted(prints)} — the workload is nondeterministic")
 
-    current = max(current_runs, key=lambda r: r["events_per_sec"])
-    reference = max(reference_runs, key=lambda r: r["events_per_sec"])
+    engine = max(hot_runs, key=lambda r: r["events_per_sec"])
     invoke = max(invoke_runs, key=lambda r: r["invokes_per_sec"])
-    speedup = (current["events_per_sec"] / reference["events_per_sec"]
-               if reference["events_per_sec"] > 0 else 0.0)
+    kernel_s = min(kernel_times)
     return {
-        "engine": current,
-        "reference": reference,
-        "speedup": speedup,
+        "engine": engine,
         "invoke": invoke,
+        "kernel_s": kernel_s,
+        "hot_loop_events_per_kernel": engine["events_per_sec"] * kernel_s,
         "repeat": repeat,
     }
 
@@ -482,8 +448,8 @@ def run_benchmarks(repeat: int = 2, serial: bool = False) -> Dict[str, Any]:
 def run_backend_probe(repeat: int = 1) -> Dict[str, Any]:
     """The memory probe: the hot loop under both histogram backends.
 
-    Runs the identical pinned workload on the current stack with exact
-    and sketch histograms and reports retained histogram bytes plus
+    Runs the identical pinned workload with exact and sketch
+    histograms and reports retained histogram bytes plus
     events/sec for each (fastest of ``repeat`` runs per backend).
     """
     if repeat < 1:
@@ -491,8 +457,7 @@ def run_backend_probe(repeat: int = 1) -> Dict[str, Any]:
     plan = _HotLoopPlan()
     runs: Dict[str, Dict[str, Any]] = {}
     for backend in ("exact", "sketch"):
-        candidates = [run_hot_loop_bench("current", plan,
-                                         histogram_backend=backend)
+        candidates = [run_hot_loop_bench(plan, histogram_backend=backend)
                       for _ in range(repeat)]
         runs[backend] = max(candidates,
                             key=lambda r: r["events_per_sec"])
@@ -515,14 +480,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--repeat", type=int, default=2,
                         help="timing repeats; fastest wins (default 2)")
     parser.add_argument("--serial", action="store_true",
-                        help="force serial invoke() even when "
-                             "invoke_many is available")
+                        help="time the serial invoke() loop instead "
+                             "of invoke_many")
     parser.add_argument("--histogram-backend", default="exact",
                         choices=("exact", "sketch"),
                         help="'sketch' runs the standalone memory "
-                             "probe (both backends, current stack "
-                             "only) instead of the gated cross-stack "
-                             "report")
+                             "probe (both backends) instead of the "
+                             "gated report")
     args = parser.parse_args(argv)
     if args.histogram_backend == "sketch":
         report = run_backend_probe(repeat=args.repeat)

@@ -1,17 +1,18 @@
-"""Throughput gate: cross-stack determinism and the comparison rules.
+"""Throughput gate: pinned determinism and the comparison rules.
 
 The gate's value rests on two claims that must hold at any workload
-size: the live stack and the frozen pre-refactor stack produce
-byte-identical fingerprints for the same plan, and ``invoke_many`` is
-byte-identical to the serial ``invoke`` loop. These tests pin both on
-a shrunken workload (the committed baseline pins them at full size),
-plus the ``compare_throughput`` violation rules on fabricated docs.
+size: the hot loop produces the fingerprint the pre-refactor stack
+produced for the same plan, and ``invoke_many`` is byte-identical to
+the serial ``invoke`` loop. These tests pin both on a shrunken
+workload (the committed baseline pins them at full size), plus the
+``compare_throughput`` violation rules on fabricated docs.
 """
 
 import pytest
 
 from repro.bench import throughput
-from repro.bench.regress import MIN_SPEEDUP, compare_throughput
+from repro.bench.regress import MIN_HOT_LOOP_EVENTS_PER_KERNEL, \
+    compare_throughput
 
 
 def _shrink_hot_loop(monkeypatch):
@@ -27,24 +28,24 @@ def _shrink_hot_loop(monkeypatch):
         monkeypatch.setattr(throughput, name, value)
 
 
-def test_current_and_reference_stacks_agree(monkeypatch):
+def test_hot_loop_matches_pre_refactor_capture(monkeypatch):
     _shrink_hot_loop(monkeypatch)
-    plan = throughput._HotLoopPlan()
-    current = throughput.run_hot_loop_bench("current", plan)
-    reference = throughput.run_hot_loop_bench("reference", plan)
-    # The frozen stack is the behavioral oracle: identical virtual-time
-    # outcomes, event counts, and span tallies — only speed may differ.
-    assert current["fingerprint"] == reference["fingerprint"]
-    assert current["events"] == reference["events"]
-    assert current["spans"] == reference["spans"]
-    assert current["final_now"] == reference["final_now"]
+    result = throughput.run_hot_loop_bench(throughput._HotLoopPlan())
+    # Captured from the frozen pre-refactor stack (and checked equal on
+    # the live one) before the frozen stack was deleted: identical
+    # virtual-time outcomes, event counts, and span tallies — only
+    # speed may differ.
+    assert result["fingerprint"] == "281b5083a38daf72"
+    assert result["events"] == 328
+    assert result["spans"] == 104
+    assert result["final_now"] == 10000.0
 
 
 def test_hot_loop_fingerprint_is_stable_across_runs(monkeypatch):
     _shrink_hot_loop(monkeypatch)
     plan = throughput._HotLoopPlan()
-    first = throughput.run_hot_loop_bench("current", plan)
-    second = throughput.run_hot_loop_bench("current", plan)
+    first = throughput.run_hot_loop_bench(plan)
+    second = throughput.run_hot_loop_bench(plan)
     assert first["fingerprint"] == second["fingerprint"]
 
 
@@ -71,7 +72,8 @@ def test_run_benchmarks_rejects_bad_repeat():
 def _passing_doc():
     return {
         "hot_loop_fingerprint": "aaaa", "invoke_fingerprint": "bbbb",
-        "min_speedup": 5.0, "speedup": 6.2,
+        "min_hot_loop_events_per_kernel": 1500.0,
+        "hot_loop_events_per_kernel": 2200.0,
         "batched_matches_serial": True,
     }
 
@@ -82,10 +84,10 @@ def test_compare_throughput_passes_clean_doc():
 
 def test_compare_throughput_flags_slow_current():
     current = _passing_doc()
-    current["speedup"] = 4.9
+    current["hot_loop_events_per_kernel"] = 1499.0
     violations = compare_throughput(current, _passing_doc())
     assert len(violations) == 1
-    assert "4.90x" in violations[0]
+    assert "1,499 events" in violations[0]
 
 
 def test_compare_throughput_pins_fingerprints_exactly():
@@ -108,9 +110,23 @@ def test_compare_throughput_requires_batched_identity():
 def test_compare_throughput_uses_baseline_bar():
     # The committed baseline's bar wins over the module default.
     current = _passing_doc()
-    current["speedup"] = MIN_SPEEDUP + 1.0
+    current["hot_loop_events_per_kernel"] = \
+        MIN_HOT_LOOP_EVENTS_PER_KERNEL + 100.0
     baseline = _passing_doc()
-    baseline["min_speedup"] = MIN_SPEEDUP + 2.0
+    baseline["min_hot_loop_events_per_kernel"] = \
+        MIN_HOT_LOOP_EVENTS_PER_KERNEL + 200.0
     violations = compare_throughput(current, baseline)
     assert len(violations) == 1
     assert "required >=" in violations[0]
+
+
+def test_compare_throughput_defaults_to_module_floor():
+    # A baseline without a floor falls back to the module constant.
+    baseline = _passing_doc()
+    del baseline["min_hot_loop_events_per_kernel"]
+    current = _passing_doc()
+    current["hot_loop_events_per_kernel"] = \
+        MIN_HOT_LOOP_EVENTS_PER_KERNEL - 1.0
+    assert len(compare_throughput(current, baseline)) == 1
+    current["hot_loop_events_per_kernel"] = MIN_HOT_LOOP_EVENTS_PER_KERNEL
+    assert compare_throughput(current, baseline) == []
