@@ -27,15 +27,12 @@ tenant offering 2x total capacity next to three polite tenants) shows
 per-tenant buckets protecting the polite tenants' goodput where the
 unprotected FIFO starves them, and a **scale** run drives a seeded
 1000-tenant Poisson/bursty/diurnal mix through the gateway. A
-fingerprint check pins ``NoAdmission`` byte-identical to the seed
-``cloud.invoke`` path (event count and outcome timings), the way PR 5
-pinned ``static`` observation mode.
+differential run pins ``NoAdmission`` identical to the seed
+``cloud.invoke`` path (an outcome digest and the exact event count).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -49,7 +46,7 @@ from ...sim.deadline import DeadlineExceededError
 from ...sim.engine import Simulator
 from ...sim.rng import RandomStream
 from ...workloads.arrivals import OpenLoopDriver, TenantMix, TenantSpec
-from ..result import ExperimentResult
+from ..result import ExperimentResult, outcome_record
 
 
 @dataclass(frozen=True)
@@ -267,15 +264,17 @@ def run_scale_smoke(cfg: OverloadRunConfig) -> Dict[str, Any]:
     }
 
 
-def _fingerprint_run(cfg: OverloadRunConfig,
-                     through_gateway: bool) -> str:
-    """One pinned mini-workload; returns its event/outcome digest.
+def _differential_run(cfg: OverloadRunConfig,
+                      through_gateway: bool) -> Dict[str, Any]:
+    """One pinned mini-workload; returns its outcome digest and event
+    count.
 
     The same 40-request Poisson schedule (alternating with and without
     a deadline) runs either straight through ``cloud.invoke`` or
     through the :class:`NoAdmission` pass-through. The digest covers
-    every outcome kind and exact latency plus the simulator's final
-    event count, so a single extra event anywhere breaks equality.
+    every outcome kind and exact latency plus the final clock, and the
+    exact event count sits beside it, so a single extra event anywhere
+    breaks equality without hiding whether an outcome moved.
     """
     cloud = _build_cloud(cfg, gated=False)
     fn = _define_front(cloud, cfg)
@@ -305,14 +304,11 @@ def _fingerprint_run(cfg: OverloadRunConfig,
 
     cloud.sim.spawn(arrival_loop(), name="fp-load")
     cloud.run()
-    payload = json.dumps([outcomes, cloud.sim._seq,
-                          repr(cloud.sim.now)],
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return outcome_record(outcomes, cloud.sim)
 
 
 def run_overload_arms(cfg: OverloadRunConfig) -> Dict[str, Any]:
-    """The whole comparison: sweep, hog run, scale smoke, fingerprint.
+    """The whole comparison: sweep, hog run, scale smoke, differential.
 
     This is the unit the CI overload gate pins: exact counts per sweep
     point, the goodput-retention win conditions, Jain fairness among
@@ -332,8 +328,8 @@ def run_overload_arms(cfg: OverloadRunConfig) -> Dict[str, Any]:
                   / max(peak("gateway"), 1e-12))
     none_frac = (sweep["none"][top]["goodput_rps"]
                  / max(peak("none"), 1e-12))
-    direct_fp = _fingerprint_run(cfg, through_gateway=False)
-    noadmission_fp = _fingerprint_run(cfg, through_gateway=True)
+    direct = _differential_run(cfg, through_gateway=False)
+    noadmission = _differential_run(cfg, through_gateway=True)
     return {
         "config": {
             "seed": cfg.seed, "tenants": cfg.tenants,
@@ -350,9 +346,9 @@ def run_overload_arms(cfg: OverloadRunConfig) -> Dict[str, Any]:
         "hog_none": run_hog_arm(cfg, gated=False),
         "hog_gateway": run_hog_arm(cfg, gated=True),
         "scale": run_scale_smoke(cfg),
-        "direct_fingerprint": direct_fp,
-        "noadmission_fingerprint": noadmission_fp,
-        "noadmission_identical": direct_fp == noadmission_fp,
+        "direct": direct,
+        "noadmission": noadmission,
+        "noadmission_identical": direct == noadmission,
     }
 
 

@@ -31,8 +31,6 @@ falls below that bar.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -47,7 +45,7 @@ from ...faas.platforms import WASM
 from ...sim.deadline import DeadlineExceededError
 from ...sim.engine import Simulator
 from ...sim.rng import RandomStream
-from ..result import ExperimentResult
+from ..result import ExperimentResult, outcome_record
 
 
 @dataclass(frozen=True)
@@ -253,7 +251,7 @@ def run_recovery_arm(cfg: RecoveryRunConfig,
         "crashes_total": sum(1 for ev in events
                              if ev.kind in ("crash", "recover")),
         "ejections": 0,
-        "fingerprint": _fingerprint(outcomes, sim),
+        **outcome_record(outcomes, sim),
     }
     if detection:
         health = cloud.health
@@ -289,12 +287,6 @@ def _detection_latencies(events, confirmations) -> List[float]:
                 latencies.append(at - ev.at)
                 break
     return latencies
-
-
-def _fingerprint(outcomes, sim) -> str:
-    payload = json.dumps([outcomes, sim._seq, repr(sim.now)],
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def run_recovery_arms(cfg: RecoveryRunConfig) -> Dict[str, Any]:

@@ -642,8 +642,15 @@ PINNED_HOG_FIELDS = ("offered", "ok", "hog_ok", "polite_offered",
 PINNED_SCALE_FIELDS = ("tenants", "offered", "ok", "deadline_miss",
                        "throttled", "shed", "tenants_served")
 
+#: Differential-run fields compared exactly per path (direct invoke
+#: and the NoAdmission pass-through): the outcome digest and, kept
+#: apart so an event-count change cannot hide an outcome change, the
+#: exact simulator event count.
+PINNED_DIFFERENTIAL_FIELDS = ("outcome_digest", "events")
+
 OVERLOAD_ARMS = ("none", "gateway")
 HOG_ARMS = ("hog_none", "hog_gateway")
+DIFFERENTIAL_ARMS = ("direct", "noadmission")
 
 
 def _overload_point_doc(point: Dict[str, Any]) -> Dict[str, Any]:
@@ -683,8 +690,8 @@ def run_overload_gate() -> Dict[str, Any]:
         "hog_none": res["hog_none"],
         "hog_gateway": res["hog_gateway"],
         "scale": res["scale"],
-        "direct_fingerprint": res["direct_fingerprint"],
-        "noadmission_fingerprint": res["noadmission_fingerprint"],
+        "direct": res["direct"],
+        "noadmission": res["noadmission"],
         "noadmission_identical": res["noadmission_identical"],
     }
 
@@ -737,16 +744,13 @@ def compare_overload(current: Dict[str, Any],
             f"{none_polite:.1%} unprotected)")
     violations += pinned_drift("overload ", current, baseline,
                                PINNED_SCALE_FIELDS, ("scale",))
-    if current.get("noadmission_fingerprint") \
-            != baseline.get("noadmission_fingerprint"):
-        violations.append(
-            f"overload: NoAdmission fingerprint "
-            f"{current.get('noadmission_fingerprint')} vs pinned "
-            f"{baseline.get('noadmission_fingerprint')}")
+    violations += pinned_drift("overload ", current, baseline,
+                               PINNED_DIFFERENTIAL_FIELDS,
+                               DIFFERENTIAL_ARMS)
     if not current.get("noadmission_identical", False):
         violations.append(
-            "overload: the NoAdmission pass-through is no longer "
-            "byte-identical to the seed scheduler path")
+            "overload: the NoAdmission pass-through no longer matches "
+            "the seed scheduler path (outcome digest and event count)")
     return violations
 
 
@@ -772,7 +776,7 @@ PINNED_RECOVERY_FIELDS = ("offered", "front", "batch", "errors",
                           "fault_events", "orphaned", "recovered",
                           "deduped", "ejections", "crashes_detected",
                           "crashes_total", "detection_latencies",
-                          "fingerprint")
+                          "outcome_digest", "events")
 
 RECOVERY_ARMS = ("detection", "none")
 

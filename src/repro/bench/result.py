@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 from .tables import format_table
+
+
+def outcome_record(outcomes: Sequence[Any], sim) -> Dict[str, Any]:
+    """A pinned run's outcome digest and exact event count, kept apart.
+
+    ``outcome_digest`` hashes every outcome and the final virtual clock;
+    ``events`` is the simulator's event count. A change that only adds
+    or removes simulator events moves ``events`` and leaves the digest,
+    so it can never hide whether an outcome moved.
+    """
+    payload = json.dumps([outcomes, repr(sim.now)], separators=(",", ":"))
+    return {
+        "outcome_digest":
+            hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16],
+        "events": sim._seq,
+    }
 
 
 @dataclass

@@ -206,17 +206,19 @@ class Network:
                 # Serialize onto the sender's NIC: hold the egress link
                 # for the wire time (queueing behind concurrent
                 # senders), then pay the propagation/processing parts
-                # without the link.
+                # without the link. A free link is taken synchronously,
+                # with no grant event; only a busy one queues.
                 link = self._egress_link(src)
-                grant = link.acquire()
-                try:
-                    yield grant
-                except BaseException:
-                    # Interrupted (hedge loss, deadline) while queued:
-                    # withdraw the request so the NIC slot is not
-                    # stranded on a dead waiter.
-                    link.cancel(grant)
-                    raise
+                if not link.try_acquire():
+                    grant = link.acquire()
+                    try:
+                        yield grant
+                    except BaseException:
+                        # Interrupted (hedge loss, deadline) while
+                        # queued: withdraw the request so the NIC slot
+                        # is not stranded on a dead waiter.
+                        link.cancel(grant)
+                        raise
                 try:
                     yield self.sim.timeout(self.profile.wire_time(nbytes))
                 finally:

@@ -254,9 +254,7 @@ class WarmPool:
             # hand-off must not cost the waiter its position.
             if executor is not None and executor.live:
                 executor.cancel_reservation()
-                self.sim.spawn(self._reap_after_idle(executor),
-                               name=f"reap:{self.name}",
-                               inherit_context=False)
+                self._arm_reaper(executor)
             requeue_front = True
 
     def release(self, executor: Executor) -> None:
@@ -287,8 +285,7 @@ class WarmPool:
                     executor.mark_busy()
                     waiter.succeed(executor)
                     return
-        self.sim.spawn(self._reap_after_idle(executor),
-                       name=f"reap:{self.name}", inherit_context=False)
+        self._arm_reaper(executor)
 
     def _abandon_wait(self, waiter) -> None:
         """Clean up after a starved acquire that died waiting.
@@ -311,20 +308,52 @@ class WarmPool:
                 handed.cancel_reservation()
                 self._offer(handed)
 
-    def _reap_after_idle(self, executor: Executor) -> Generator:
-        """Shut the executor down if it stays idle for the window.
+    def _arm_reaper(self, executor: Executor) -> None:
+        """Stamp the idle executor's keep-alive deadline and make sure
+        a reaper wakes by it.
 
-        The window length is read when the reaper is *armed* (at
-        release time), so an adaptive keep-alive applies to executors
-        released after the change. A :attr:`target_warm` floor set by
-        the autoscale controller vetoes the reap — the controller then
-        owns downscaling through :meth:`shrink`.
+        The window length is read here, at release time, so an
+        adaptive keep-alive applies to executors released after the
+        change. Each executor has one reaper, not one per release: a
+        new one is spawned only when none is armed, or when the new
+        deadline is earlier than the armed wake (:meth:`set_keep_alive`
+        shrank the window); the superseded reaper then exits when it
+        wakes.
         """
-        idle_mark = executor.idle_since
-        yield self.sim.timeout(self.keep_alive)
-        if not (executor.live and not executor.busy
-                and executor.idle_since == idle_mark):
-            return
+        reap_at = self.sim.now + self.keep_alive
+        executor.reap_at = reap_at
+        wake = executor.reaper_wake
+        if wake is None or reap_at < wake:
+            executor.reaper_wake = reap_at
+            self.sim.spawn(self._reap_after_idle(executor, reap_at),
+                           name=f"reap:{self.name}", inherit_context=False)
+
+    def _reap_after_idle(self, executor: Executor,
+                         wake: float) -> Generator:
+        """Shut the executor down if it is still idle at its
+        :attr:`~Executor.reap_at` deadline.
+
+        A reaper that wakes before the deadline (the executor was
+        re-used and released again since it was armed) sleeps on until
+        the new deadline, at that absolute instant, so the reap time is
+        exactly the last release plus its keep-alive. One that finds
+        the executor busy or gone disarms; the next release re-arms. A
+        :attr:`target_warm` floor set by the autoscale controller vetoes
+        the reap — the controller then owns downscaling through
+        :meth:`shrink`.
+        """
+        while True:
+            yield self.sim.timeout_at(wake)
+            if executor.reaper_wake != wake:
+                return  # superseded by an earlier-armed reaper
+            if not executor.live or executor.busy:
+                executor.reaper_wake = None
+                return
+            if executor.reap_at <= wake:
+                break
+            # Released again since this wake was armed: sleep on.
+            wake = executor.reaper_wake = executor.reap_at
+        executor.reaper_wake = None
         if self.target_warm is not None and self.size <= self.target_warm:
             return
         executor.shutdown()
@@ -333,7 +362,8 @@ class WarmPool:
 
     # -- controller actuation ----------------------------------------------
     def set_keep_alive(self, keep_alive: float) -> None:
-        """Adapt the idle window; applies to reapers armed from now on."""
+        """Adapt the idle window; applies to executors released from
+        now on."""
         if keep_alive < 0:
             raise ValueError("negative keep_alive")
         self.keep_alive = keep_alive

@@ -106,7 +106,12 @@ class Executor:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.live = False
         self.busy = False
-        self.idle_since: Optional[float] = None
+        #: Keep-alive deadline the warm pool stamps at each release:
+        #: the sandbox is reaped if it is still idle then.
+        self.reap_at: Optional[float] = None
+        #: Wake time of this sandbox's one armed idle-reaper (None when
+        #: none is armed).
+        self.reaper_wake: Optional[float] = None
         self.invocations = 0
         #: True when the autoscale controller provisioned this sandbox
         #: ahead of demand rather than a waiting invocation.
@@ -128,7 +133,6 @@ class Executor:
             self.node.release(self.resources)
             raise
         self.live = True
-        self.idle_since = self.sim.now
         return self
 
     def compute(self, work_ops: float) -> Generator:
@@ -165,7 +169,6 @@ class Executor:
         if self.busy:
             raise ExecutorStateError("executor already busy")
         self.busy = True
-        self.idle_since = None
 
     def mark_idle(self) -> None:
         """Return the executor to the warm pool."""
@@ -173,7 +176,6 @@ class Executor:
             raise ExecutorStateError("idle-marking an idle executor")
         self.busy = False
         self.invocations += 1
-        self.idle_since = self.sim.now
 
     def cancel_reservation(self) -> None:
         """Undo a :meth:`mark_busy` that never ran an invocation.
@@ -187,7 +189,6 @@ class Executor:
         if not self.busy:
             raise ExecutorStateError("cancelling an unreserved executor")
         self.busy = False
-        self.idle_since = self.sim.now
 
     def shutdown(self) -> None:
         """Release the sandbox's resources (scale-to-zero reaping)."""

@@ -455,7 +455,7 @@ class Simulator:
             ev._ok = True
             ev._state = TRIGGERED
             ev.delay = delay
-            # Inline of _schedule(ev, delay) — this is the hottest
+            # Inline of _schedule(ev, delay) and _place — the hottest
             # allocation-free path in the kernel.
             self._seq += 1
             self._pending += 1
@@ -477,6 +477,38 @@ class Simulator:
                 heappush(self._far, entry)
             return ev
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """An event firing at absolute virtual time ``when``.
+
+        ``timeout(when - now)`` would re-add the delay to ``now``, and
+        ``now + (when - now)`` need not round back to ``when``; this
+        schedules at ``when`` itself, so a deadline stamped as
+        ``t + d`` fires bit-identically to a ``timeout(d)`` armed at
+        ``t``. Raises ``ValueError`` for a time in the past.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"timeout_at({when}) is in the past "
+                             f"(now={now})")
+        pool = self._timeout_pool
+        if pool:
+            ev = pool.pop()
+        else:
+            ev = Timeout.__new__(Timeout)
+            ev.sim = self
+            ev.callbacks = []
+        ev._value = value
+        ev._ok = True
+        ev._state = TRIGGERED
+        ev.delay = when - now
+        self._seq += 1
+        self._pending += 1
+        if when == now:
+            self._immediate.append((now, 1, self._seq, ev))
+        else:
+            self._place((when, 1, self._seq, ev))
+        return ev
 
     def _kick(self, reason: str, ok: bool, value: Any,
               resume: Callable[[Event], None], priority: int = 1) -> None:
@@ -538,9 +570,13 @@ class Simulator:
             # against the active heap's top.
             self._immediate.append((self._now, 1, self._seq, event))
             return
-        when = self._now + delay
-        entry = (when, priority, self._seq, event)
-        bucket = int(when * _INV_GRANULARITY)
+        self._place((self._now + delay, priority, self._seq, event))
+
+    def _place(self, entry: tuple) -> None:
+        """File a ``(when, priority, seq, event)`` entry into its tier:
+        the active heap for the current bucket, a wheel slot within
+        the horizon, else the far heap."""
+        bucket = int(entry[0] * _INV_GRANULARITY)
         base = self._base
         if bucket <= base:
             heappush(self._active, entry)

@@ -3,7 +3,10 @@
 Three primitives cover every contention point in the simulated cloud:
 
 * :class:`Resource` — a counting semaphore with a FIFO wait queue
-  (CPU cores, GPU slots, NFS server threads, ...).
+  (CPU cores, GPU slots, NFS server threads, NIC egress links, ...).
+  :meth:`Resource.try_acquire` takes a free slot synchronously, with
+  no event, when nobody is queued; :meth:`Resource.acquire` is the
+  event-based path for callers that may have to wait.
 * :class:`Container` — a continuous level that can be drained and
   refilled (memory bytes, token buckets).
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``
@@ -24,6 +27,21 @@ class Resource:
     Usage::
 
         grant = yield resource.acquire()
+        try:
+            ...
+        finally:
+            resource.release()
+
+    A hot path that is usually uncontended takes the slot without an
+    event and queues only when it must::
+
+        if not resource.try_acquire():
+            grant = resource.acquire()
+            try:
+                yield grant
+            except BaseException:
+                resource.cancel(grant)
+                raise
         try:
             ...
         finally:
@@ -49,11 +67,23 @@ class Resource:
         """Number of acquirers still waiting."""
         return len(self._waiters)
 
+    def try_acquire(self) -> bool:
+        """Take a slot now, without scheduling an event.
+
+        Succeeds only when a slot is free *and* no acquirer is queued,
+        so a synchronous grant never barges past a waiter (FIFO holds).
+        On ``True`` the caller holds the slot and must
+        :meth:`release` it; on ``False`` nothing changed.
+        """
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
+            return True
+        return False
+
     def acquire(self) -> Event:
         """Return an event that fires once a slot is granted."""
         ev = self.sim.event(name=f"acquire:{self.name}")
-        if self._in_use < self.capacity:
-            self._in_use += 1
+        if self.try_acquire():
             ev.succeed(self)
         else:
             self._waiters.append(ev)

@@ -98,7 +98,9 @@ def _passing_doc():
         "scale": {"tenants": 100, "offered": 60, "ok": 50,
                   "deadline_miss": 2, "throttled": 5, "shed": 3,
                   "tenants_served": 40},
-        "noadmission_fingerprint": "feedface00000000",
+        "direct": {"outcome_digest": "feedface00000000", "events": 900},
+        "noadmission": {"outcome_digest": "feedface00000000",
+                        "events": 900},
         "noadmission_identical": True,
     }
 
@@ -159,10 +161,16 @@ def test_compare_overload_pins_scale_smoke():
 
 def test_compare_overload_pins_noadmission_identity():
     current = _passing_doc()
-    current["noadmission_fingerprint"] = "0000000000000000"
+    current["noadmission"]["outcome_digest"] = "0000000000000000"
     violations = compare_overload(current, _passing_doc())
     assert len(violations) == 1
-    assert "NoAdmission fingerprint" in violations[0]
+    assert "noadmission.outcome_digest" in violations[0]
+
+    current = _passing_doc()
+    current["direct"]["events"] = 899
+    violations = compare_overload(current, _passing_doc())
+    assert len(violations) == 1
+    assert "direct.events: 899 vs pinned 900" in violations[0]
 
     current = _passing_doc()
     current["noadmission_identical"] = False

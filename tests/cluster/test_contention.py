@@ -2,8 +2,18 @@
 
 import pytest
 
-from repro.cluster import DC_2021, Network, build_cluster
+from repro.cluster import (
+    DC_2021,
+    Network,
+    build_cluster,
+    cpu_task,
+    server_node,
+)
+from repro.core import FunctionImpl, PCSICloud
+from repro.core.retry import RetryPolicy
+from repro.faas import WASM
 from repro.sim import MS, Simulator
+from repro.sim.deadline import DeadlineExceededError
 
 
 def make_net(model_contention=True):
@@ -92,3 +102,118 @@ def test_local_copies_skip_the_nic():
     sim.spawn(sender(1))
     sim.run()
     assert done[0] == pytest.approx(done[1])  # no serialization
+
+
+def test_free_nic_is_granted_without_a_grant_event():
+    """An uncontended transfer takes the link synchronously: two timed
+    events (wire, then propagation), no grant event in between."""
+    sim, net = make_net()
+
+    def flow():
+        yield from net.transfer("rack0-n0", "rack1-n0", BIG)
+
+    proc = sim.spawn(flow())
+    seq = sim._seq
+    sim.run_until_event(proc)
+    # The process's init kick is already counted in ``seq``; the
+    # transfer adds its two timeouts and the process's completion.
+    assert sim._seq - seq == 3
+    assert net._egress_link("rack0-n0").in_use == 0
+
+
+def test_interrupt_mid_wire_after_a_synchronous_grant_frees_the_nic():
+    sim, net = make_net()
+    link = net._egress_link("rack0-n0")
+
+    def flow():
+        yield from net.transfer("rack0-n0", "rack1-n0", BIG)
+
+    victim = sim.spawn(flow())
+    sim.run(until=5 * MS)  # half-way through the 10 ms wire time
+    assert link.in_use == 1 and link.queue_length == 0
+    victim.interrupt("test")
+    sim.run()
+    assert link.in_use == 0
+    assert not victim.ok
+
+
+# -- the scheduler's hedge-loser and deadline paths --------------------
+#: Returned by the function body: the result transfer back to the
+#: client spends 10 ms on the executor's NIC.
+BIG_RESULT = bytes(BIG)
+
+
+def _big_result_body(ctx):
+    yield from ctx.compute(1e6)
+    return BIG_RESULT
+
+
+def make_big_result_cloud(warm=1):
+    """Capacity-one nodes (so concurrent invokes land on distinct NICs)
+    and a function whose result is BIG; ``warm`` sandboxes are
+    provisioned up front. Returns (cloud, client, fn, latency of a
+    warm invoke)."""
+    sim = Simulator()
+    topo = build_cluster(sim, racks=2, nodes_per_rack=3,
+                         gpu_nodes_per_rack=0,
+                         node_capacity=server_node(cpus=1, memory_gb=4))
+    cloud = PCSICloud(sim, seed=5, keep_alive=600.0, topology=topo,
+                      data_replicas=1)
+    client = cloud.client_node()
+    cloud.scheduler.control_node = client
+    fn = cloud.define_function(
+        "big", [FunctionImpl("wasm", WASM, cpu_task(cpus=1, memory_gb=1),
+                             work_ops=1e6)],
+        body=_big_result_body)
+
+    def invoke():
+        yield from cloud.invoke(client, fn)
+
+    for _ in range(warm):
+        sim.spawn(invoke())
+    sim.run(until=sim.now + 1.0)
+    start = sim.now
+    cloud.run_process(invoke())
+    return cloud, client, fn, sim.now - start
+
+
+def _nic_in_use(cloud):
+    return sum(link.in_use for link in cloud.network._egress.values())
+
+
+def test_deadline_expiring_mid_result_transfer_frees_the_nic():
+    cloud, client, fn, latency = make_big_result_cloud()
+    held_at_expiry = []
+
+    def flow():
+        with pytest.raises(DeadlineExceededError):
+            # Expires 5 ms before the end: inside the 10 ms wire time.
+            yield from cloud.invoke(client, fn, deadline=latency - 5 * MS)
+        held_at_expiry.append(_nic_in_use(cloud))
+
+    cloud.run_process(flow())
+    cloud.run(until=cloud.sim.now + 1.0)
+    assert held_at_expiry == [1]  # the interrupted transfer held it
+    assert _nic_in_use(cloud) == 0
+    assert all(link.queue_length == 0
+               for link in cloud.network._egress.values())
+
+
+def test_hedge_loser_interrupted_mid_wire_frees_the_nic():
+    """Two warm sandboxes on distinct nodes; the hedge fires 2 ms into
+    the primary, so when the primary's result lands the secondary is
+    still on the wire and is interrupted there."""
+    cloud, client, fn, _ = make_big_result_cloud(warm=2)
+    held_when_won = []
+    policy = RetryPolicy(max_attempts=1, hedge_delay=2 * MS)
+
+    def flow():
+        yield from cloud.invoke(client, fn, retry=policy)
+        held_when_won.append(_nic_in_use(cloud))
+
+    cloud.run_process(flow())
+    cloud.run(until=cloud.sim.now + 1.0)
+    assert cloud.metrics.counter("invoke.hedge.cancelled",
+                                 fn="big").value == 1
+    assert held_when_won == [1]  # the loser was mid-wire
+    assert _nic_in_use(cloud) == 0

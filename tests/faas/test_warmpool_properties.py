@@ -13,6 +13,10 @@ autoscale controller now depends on:
   acquires (queued grants are warm hits);
 * **gauge honesty**: the live-size gauge always equals
   ``len(executors) + provisioning`` and never drifts from ``size``.
+
+The keep-alive tests at the end pin the one-reaper-per-executor
+reaper: reap instants are exactly last release + keep-alive, and
+release churn never piles up pending reapers.
 """
 
 import pytest
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import build_cluster, cpu_task
 from repro.faas import MICROVM, WarmPool
+from repro.faas.platforms import Executor
 from repro.sim import Simulator
 
 
@@ -336,3 +341,134 @@ def test_set_keep_alive_validates_and_applies_to_new_reapers():
     # Reaped after the *new* 0.5 s window, not the constructor's 10 s.
     assert pool.size == 0
     assert sim.now < 5.0
+
+
+def record_shutdowns(monkeypatch, sim):
+    """Log ``(sim.now, node_id)`` for every executor shutdown."""
+    log = []
+    shutdown = Executor.shutdown
+
+    def logged(executor):
+        log.append((sim.now, executor.node.node_id))
+        shutdown(executor)
+
+    monkeypatch.setattr(Executor, "shutdown", logged)
+    return log
+
+
+def test_shrunk_keep_alive_reaps_at_release_plus_new_window(monkeypatch):
+    """A reaper armed under a 10 s window must not keep a sandbox that
+    is released again after ``set_keep_alive(0.5)`` alive until the
+    old wake: it is reaped at that release + 0.5 s."""
+    sim, pool = make_pool(keep_alive=10.0)
+    reaps = record_shutdowns(monkeypatch, sim)
+    released = []
+
+    def flow():
+        executor = yield from pool.acquire()
+        yield sim.timeout(0.25)
+        pool.release(executor)  # arms a reaper for +10 s
+        yield sim.timeout(1.0)
+        again = yield from pool.acquire()
+        assert again is executor
+        pool.set_keep_alive(0.5)
+        yield sim.timeout(0.25)
+        pool.release(executor)
+        released.append(sim.now)
+
+    sim.run_until_event(sim.spawn(flow()))
+    sim.run()
+    assert reaps == [(released[0] + 0.5, reaps[0][1])]
+
+
+def test_release_churn_keeps_one_pending_reaper_per_executor():
+    """1,000 acquire/release cycles on one sandbox leave at most one
+    pending reaper, and the sandbox is still reaped exactly at its last
+    release + keep-alive."""
+    sim, pool = make_pool(keep_alive=5.0)
+    released = []
+
+    def flow():
+        for _ in range(1000):
+            executor = yield from pool.acquire()
+            yield sim.timeout(0.001)
+            pool.release(executor)
+        released.append(sim.now)
+
+    sim.run_until_event(sim.spawn(flow()))
+    assert pool.size == 1
+    assert sim._pending <= pool.size
+    sim.run()
+    assert pool.size == 0
+    assert sim.now == released[0] + 5.0
+
+
+def test_floor_veto_and_reap_times_follow_each_release(monkeypatch):
+    """Two sandboxes released 0.25 s apart under a ``target_warm`` of
+    1: the first is reaped at its release + 1 s, the floor vetoes the
+    second; once the floor is lifted, the survivor is reaped at its
+    next release + 1 s."""
+    sim, pool = make_pool(keep_alive=1.0)
+    pool.target_warm = 1
+    reaps = record_shutdowns(monkeypatch, sim)
+    released = {}
+
+    def flow():
+        a = yield from pool.acquire()
+        b = yield from pool.acquire()
+        pool.release(a)
+        released["a"] = (sim.now, a.node.node_id)
+        yield sim.timeout(0.25)
+        pool.release(b)
+        yield sim.timeout(2.0)
+        assert pool.size == 1 and b.live  # vetoed by the floor
+        c = yield from pool.acquire()
+        assert c is b
+        pool.target_warm = None
+        yield sim.timeout(0.5)
+        pool.release(c)
+        released["c"] = (sim.now, c.node.node_id)
+
+    sim.run_until_event(sim.spawn(flow()))
+    sim.run()
+    assert reaps == [(released["a"][0] + 1.0, released["a"][1]),
+                     (released["c"][0] + 1.0, released["c"][1])]
+
+
+def test_stale_handoff_sandbox_reaps_one_window_after_the_crash(
+        monkeypatch):
+    """The stale-reservation path re-arms the reaper when the waiter
+    finds its hand-off dead: the stranded sandbox is reaped one window
+    after that instant, and the prewarmed replacement one window after
+    its last release."""
+    sim, pool = make_pool(keep_alive=0.05, max_executors=1, nodes=2)
+    reaps = record_shutdowns(monkeypatch, sim)
+    held = []
+    released = []
+
+    def request(hold, release=True):
+        ex = yield from pool.acquire()
+        held.append(ex)
+        if release:
+            yield sim.timeout(hold)
+            pool.release(ex)
+            released.append(sim.now)
+
+    def driver():
+        yield sim.timeout(0.3)
+        stale = held[0]
+        pool.release(stale)  # reserved for request 1 ...
+        stale.node.crash()   # ... whose node dies in the same instant
+        yield sim.timeout(0.2)
+        yield from pool.prewarm()
+
+    sim.spawn(request(0.0, release=False))
+    sim.spawn(request(0.01))
+    sim.spawn(request(0.01))
+    sim.spawn(driver())
+    sim.run()
+    stale_node = held[0].node.node_id
+    fresh_node = held[1].node.node_id
+    assert stale_node != fresh_node
+    assert reaps == [(0.3 + 0.05, stale_node),
+                     (released[-1] + 0.05, fresh_node)]

@@ -348,3 +348,66 @@ def test_microsecond_scale_precision():
     sim.run()
     assert stamps[0] == pytest.approx(17e-9)
     assert stamps[1] == pytest.approx(17e-9 + 200e-6)
+
+
+def test_timeout_at_fires_at_the_absolute_instant():
+    sim = Simulator()
+    fired = []
+
+    # A deadline stamped as t + d at t fires exactly at t + d when
+    # slept on from a later instant, even though re-deriving it as a
+    # delay, now + (when - now), rounds to a different float here.
+    when = 0.28978161459048557 + 60.0
+
+    def proc(sim):
+        yield sim.timeout(1.5791639305450182)
+        assert sim.now + (when - sim.now) != when
+        yield sim.timeout_at(when)
+        fired.append(sim.now)
+
+    sim.spawn(proc(sim))
+    sim.run()
+    assert fired == [when]
+
+
+def test_timeout_at_places_in_every_tier_in_time_order():
+    sim = Simulator()
+    order = []
+
+    def waiter(sim, when):
+        yield sim.timeout_at(when)
+        order.append(sim.now)
+
+    # Current bucket, the wheel, beyond the wheel horizon (far heap),
+    # interleaved with relative timeouts.
+    for when in (5.0, 0.2, 0.00001, 1e-3):
+        sim.spawn(waiter(sim, when))
+
+    def relative(sim):
+        yield sim.timeout(0.5)
+        order.append(sim.now)
+
+    sim.spawn(relative(sim))
+    sim.run()
+    assert order == [0.00001, 1e-3, 0.2, 0.5, 5.0]
+
+
+def test_timeout_at_now_fires_this_instant_in_scheduling_order():
+    sim = Simulator()
+    order = []
+
+    def proc(sim, tag, ev_factory):
+        yield ev_factory()
+        order.append((tag, sim.now))
+
+    sim.spawn(proc(sim, "at", lambda: sim.timeout_at(sim.now)))
+    sim.spawn(proc(sim, "zero", lambda: sim.timeout(0.0)))
+    sim.run()
+    assert order == [("at", 0.0), ("zero", 0.0)]
+
+
+def test_timeout_at_in_the_past_is_an_error():
+    sim = Simulator()
+    sim.run(until=1.0)
+    with pytest.raises(ValueError, match="past"):
+        sim.timeout_at(0.5)

@@ -44,6 +44,38 @@ def test_resource_fifo_fairness():
     assert order == [0, 1, 2, 3, 4]
 
 
+def test_try_acquire_takes_a_free_slot_without_an_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    seq = sim._seq
+    assert res.try_acquire()
+    assert res.try_acquire()
+    assert sim._seq == seq  # nothing was scheduled
+    assert res.in_use == 2
+    assert not res.try_acquire()  # full: nothing changes
+    assert res.in_use == 2 and res.queue_length == 0
+    res.release()
+    assert res.in_use == 1
+
+
+def test_try_acquire_never_barges_past_a_queued_waiter():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    assert res.try_acquire()
+    waiter = res.acquire()
+    assert not waiter.triggered
+    # Capacity grows while the waiter is still queued: a free slot now
+    # exists, but it belongs to the waiter, not to a synchronous grab.
+    res.capacity = 2
+    assert not res.try_acquire()
+    assert res.in_use == 1 and res.queue_length == 1
+    res.release()  # the held slot passes straight to the waiter
+    assert waiter.triggered
+    assert res.queue_length == 0
+    assert res.try_acquire()  # queue empty: the spare slot is free
+    assert res.in_use == 2
+
+
 def test_resource_release_when_idle_is_error():
     sim = Simulator()
     res = Resource(sim, capacity=1)
