@@ -7,50 +7,8 @@ gate's win conditions must hold on every run. The simulation is
 deterministic, so drift beyond tolerance is a real behavior change (a
 new network hop on the hot path, an extra quorum round, a changed
 control decision), not noise. :data:`GATES` lists the gates in run
-order; CI runs one matrix arm per gate.
-
-===============  ======================  ==============================
-gate             baseline                pins / enforces
-===============  ======================  ==============================
-``e4``           e4_critical_path.json   E4 critical-path layer totals
-                                         (seed 41, traced) within
-                                         per-layer tolerances
-``autoscale``    autoscale_burst.json    burst replay, fixed vs
-                                         queue-depth policy: exact
-                                         counts, >= 30% fewer cold
-                                         starts, pools back at zero
-``chaos``        chaos_goodput.json      E21 naive vs hardened: exact
-                                         counts and outcome digests,
-                                         hardened wins, no deadline
-                                         overrun, hedging cuts the
-                                         gray p99, replay identical
-``attribution``  attribution_drift.json  E22 drift: per-arm decision
-                                         and latency digests, observed
-                                         arm closes the oracle gap,
-                                         static arm stays on the
-                                         drifted NPU
-``throughput``   throughput.json         hot loop >= 5x the frozen
-                                         pre-refactor stack (machine-
-                                         relative), fingerprints equal
-                                         across stacks, batched
-                                         ``invoke_many`` == serial
-``overload``     overload_goodput.json   E24 sweep: exact per-point
-                                         counts and digests, gateway
-                                         keeps >= 80% of peak at 4x
-                                         while unprotected collapses,
-                                         Jain >= 0.9, hog isolation,
-                                         pass-through identical
-``recovery``     recovery_mttr.json      E25 chaos storm: exact
-                                         tallies, >= 95% of orphans
-                                         recovered, goodput held with
-                                         the health plane and lost
-                                         without it, detection <= 1.5 s
-``tail``         tail_drift.json         E26: p99 steering flips where
-                                         mean steering stays stuck,
-                                         adaptive hedging beats the
-                                         fixed delay within its launch
-                                         bound, sketch error bounded
-===============  ======================  ==============================
+order, each with the claims its doc must satisfy; CI runs one matrix
+arm per gate.
 
 Usage::
 
@@ -80,6 +38,7 @@ from typing import (
     Dict,
     Generator,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -91,10 +50,18 @@ from ..core.system import PCSICloud
 from ..faas.harness import ControllerHarness, HarnessResult, burst_phases
 from ..workloads.ml_serving import ModelServingApp, ModelServingConfig
 from .critical_path import invocation_critical_paths, merged_by_name
+from .experiments import e21_chaos as e21
+from .experiments import e22_attribution as e22
+from .experiments import e24_overload as e24
+from .experiments import e25_recovery as e25
+from .experiments import e26_tail as e26
+from .throughput import run_benchmarks, run_invoke_bench
 
 #: Where the checked-in baselines live (``--baseline-dir`` default).
 BASELINE_DIR = Path(__file__).resolve().parents[3] / "benchmarks" \
     / "baselines"
+
+Doc = Dict[str, Any]
 
 
 def digest(seq: Iterable[Any]) -> str:
@@ -108,23 +75,174 @@ def digest(seq: Iterable[Any]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def pinned_drift(label: str, current: Dict[str, Any],
-                 baseline: Dict[str, Any], fields: Sequence[str],
-                 arms: Optional[Sequence[str]] = None) -> List[str]:
-    """One ``"<label>[<arm>.]<field>: <cur> vs pinned <base>"`` message
-    per pinned field that differs from the baseline.
+# ---------------------------------------------------------------------------
+# Claims: what a gate doc must satisfy
+# ---------------------------------------------------------------------------
 
-    With ``arms``, each field is compared inside each arm's sub-dict;
-    without, at the top level of the two docs. A field missing on one
-    side counts as drift.
+#: An absent value. A claim that measures it fails; it never passes by
+#: default.
+_MISSING = object()
+
+
+def _get(doc: Any, keys: Sequence[str], default: Any = _MISSING) -> Any:
+    """The value under ``keys`` in nested dicts, or ``default``."""
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            return default
+        doc = doc[key]
+    return doc
+
+
+#: One ``(where, values)`` pair per check of a claim (see :class:`Claim`).
+Cases = Iterator[Tuple[Dict[str, str], Dict[str, Any]]]
+
+
+class Claim:
+    """One claim a gate doc must satisfy; calling it evaluates it.
+
+    Each kind's ``cases(doc, baseline)`` yields one ``(where, values)``
+    pair per check: ``values`` holds what the check compares and its
+    message names, and ``where`` maps each value measured in the doc to
+    its location. A check fails when a measured value is absent, or
+    when ``holds(**values)`` is false; ``message`` is then formatted
+    with the values, the gate name as ``gate``, and the doc as ``doc``.
     """
-    pairs = [("", current, baseline)] if arms is None else [
-        (f"{arm}.", current.get(arm, {}), baseline.get(arm, {}))
-        for arm in arms]
-    return [f"{label}{prefix}{fld}: {cur.get(fld)} vs pinned "
-            f"{base.get(fld)}"
-            for prefix, cur, base in pairs for fld in fields
-            if cur.get(fld) != base.get(fld)]
+
+    def __call__(self, gate: str, doc: Doc, baseline: Doc) -> List[str]:
+        """Violation messages of ``doc`` against ``baseline``."""
+        violations: List[str] = []
+        for where, values in self.cases(doc, baseline):
+            missing = [loc for name, loc in where.items()
+                       if values[name] is _MISSING]
+            if missing:
+                violations += [f"{gate} {loc}: missing" for loc in missing]
+            elif not self.holds(**values):
+                violations.append(self.message.format(gate=gate, doc=doc,
+                                                      **values))
+        return violations
+
+
+#: ``Pinned(arms=EVERY)``: every arm key found in either doc, in
+#: numeric order (the overload sweep's load multipliers).
+EVERY = ("*",)
+
+
+@dataclass(frozen=True)
+class Pinned(Claim):
+    """Each field equals the baseline's, per arm (``arms=None``: at the
+    top level) under the ``within`` key path.
+
+    ``label`` renders an arm in the default message, ``"<gate>
+    <arm>.<field>: <value> vs pinned <baseline>"``.
+    """
+
+    fields: Tuple[str, ...]
+    arms: Optional[Tuple[str, ...]] = None
+    within: Tuple[str, ...] = ()
+    label: str = "{arm}"
+    message: str = "{gate} {where}: {value} vs pinned {pinned}"
+
+    def pairs(self, doc: Doc, baseline: Doc) -> List[Tuple[str, ...]]:
+        """The key path of every pinned value."""
+        if self.arms is None:
+            return [self.within + (fld,) for fld in self.fields]
+        arms: Iterable[str] = self.arms
+        if self.arms is EVERY:
+            arms = sorted({arm for side in (doc, baseline)
+                           for arm in _get(side, self.within, {})},
+                          key=float)
+        return [self.within + (arm, fld)
+                for arm in arms for fld in self.fields]
+
+    def cases(self, doc: Doc, baseline: Doc) -> Cases:
+        for keys in self.pairs(doc, baseline):
+            where = keys[-1] if self.arms is None else \
+                f"{self.label.format(arm=keys[-2])}.{keys[-1]}"
+            yield {"value": where}, {"value": _get(doc, keys),
+                                     "pinned": _get(baseline, keys, None),
+                                     "where": where}
+
+    def holds(self, value: Any, pinned: Any, where: str) -> bool:
+        return value == pinned
+
+
+@dataclass(frozen=True)
+class FromBaseline:
+    """A bound the run writes into its doc as ``key``: the baseline's
+    value wins, and a baseline without it falls back to ``default``,
+    the module constant the run writes."""
+
+    key: str
+    default: float
+
+    def __call__(self, doc: Doc, baseline: Doc) -> float:
+        return baseline.get(self.key, self.default)
+
+
+@dataclass(frozen=True)
+class _Bounded(Claim):
+    """The value at dotted ``path`` against ``bound(doc, baseline)``."""
+
+    path: str
+    bound: Callable[[Doc, Doc], float]
+    message: str
+
+    def cases(self, doc: Doc, baseline: Doc) -> Cases:
+        yield {"value": self.path}, {
+            "value": _get(doc, self.path.split(".")),
+            "bound": self.bound(doc, baseline)}
+
+
+class Floor(_Bounded):
+    """``value >= bound``."""
+
+    def holds(self, value: Any, bound: float) -> bool:
+        return value >= bound
+
+
+@dataclass(frozen=True)
+class Ceiling(_Bounded):
+    """``value <= bound`` (``<`` when ``strict``)."""
+
+    strict: bool = False
+
+    def holds(self, value: Any, bound: float) -> bool:
+        return value < bound if self.strict else value <= bound
+
+
+@dataclass(frozen=True)
+class Beats(Claim):
+    """The value at ``winner`` is strictly above (``lower``: below) the
+    value at ``loser``."""
+
+    winner: str
+    loser: str
+    message: str
+    lower: bool = False
+
+    def cases(self, doc: Doc, baseline: Doc) -> Cases:
+        yield {"winner": self.winner, "loser": self.loser}, {
+            "winner": _get(doc, self.winner.split(".")),
+            "loser": _get(doc, self.loser.split("."))}
+
+    def holds(self, winner: Any, loser: Any) -> bool:
+        return winner < loser if self.lower else winner > loser
+
+
+@dataclass(frozen=True)
+class Holds(Claim):
+    """``test`` accepts the value at dotted ``path`` (default: it is
+    truthy)."""
+
+    path: str
+    message: str
+    test: Callable[[Any], bool] = bool
+
+    def cases(self, doc: Doc, baseline: Doc) -> Cases:
+        yield {"value": self.path}, {"value": _get(doc, self.path.split("."))}
+
+    def holds(self, value: Any) -> bool:
+        return self.test(value)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +409,8 @@ AUTOSCALE_GAP = 60.0
 #: The controller must cut cold starts by at least this fraction.
 MIN_REDUCTION = 0.30
 
+AUTOSCALE_ARMS = ("fixed", "controlled")
+
 
 def _arm_doc(result: HarnessResult) -> Dict[str, Any]:
     """The pinned, exactly-reproducible facts of one harness arm."""
@@ -337,36 +457,6 @@ def run_autoscale_gate() -> Dict[str, Any]:
     }
 
 
-#: Arm fields compared exactly — the replay is deterministic, so any
-#: drift is a behavior change, not noise. (Float fields like p99 and
-#: held_seconds are informational: they ride along in the baseline but
-#: only the integer outcome counts are pinned.)
-PINNED_ARM_FIELDS = ("offered", "completed", "failed", "cold_starts",
-                     "warm_hits", "prewarmed", "queue_waits",
-                     "final_size")
-
-AUTOSCALE_ARMS = ("fixed", "controlled")
-
-
-def compare_autoscale(current: Dict[str, Any],
-                      baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the autoscale gate against its baseline doc."""
-    violations = pinned_drift("", current, baseline, PINNED_ARM_FIELDS,
-                              AUTOSCALE_ARMS)
-    min_reduction = baseline.get("min_reduction", MIN_REDUCTION)
-    reduction = current.get("cold_start_reduction", 0.0)
-    if reduction < min_reduction:
-        violations.append(
-            f"cold-start reduction {reduction:.1%} is below the "
-            f"required {min_reduction:.0%}")
-    for arm in AUTOSCALE_ARMS:
-        if current.get(arm, {}).get("final_size") != 0:
-            violations.append(
-                f"{arm}: pool did not scale to zero "
-                f"(final_size={current.get(arm, {}).get('final_size')})")
-    return violations
-
-
 def _autoscale_summary(doc: Dict[str, Any]) -> str:
     return (f"  autoscale  cold {doc['fixed']['cold_starts']} "
             f"(fixed) -> {doc['controlled']['cold_starts']} "
@@ -377,16 +467,6 @@ def _autoscale_summary(doc: Dict[str, Any]) -> str:
 # Chaos gate
 # ---------------------------------------------------------------------------
 
-#: Chaos-arm fields compared exactly — the fault schedule, retries,
-#: hedges, and every request outcome replay deterministically, so any
-#: drift in these counts is a semantic change to failure handling.
-PINNED_CHAOS_FIELDS = ("offered", "ok", "deadline_exceeded", "errors",
-                       "retries", "hedges", "hedge_wins", "failovers",
-                       "faults_injected", "outcome_fingerprint")
-
-CHAOS_ARMS = ("naive", "hardened")
-
-
 def _chaos_arm_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
     """One chaos arm with the bulky outcome list folded to a digest."""
     doc = {k: v for k, v in arm.items() if k != "outcomes"}
@@ -396,12 +476,11 @@ def _chaos_arm_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
 
 def run_chaos_gate() -> Dict[str, Any]:
     """Replay the pinned short chaos comparison (naive vs hardened)."""
-    from .experiments.e21_chaos import DEADLINE_EPS, SHORT, run_chaos_arms
-    res = run_chaos_arms(SHORT)
+    res = e21.run_chaos_arms(e21.SHORT)
     return {
         "experiment": "E21 pinned short chaos (naive vs hardened)",
         "config": res["config"],
-        "deadline_eps_s": DEADLINE_EPS,
+        "deadline_eps_s": e21.DEADLINE_EPS,
         "naive": _chaos_arm_doc(res["naive"]),
         "hardened": _chaos_arm_doc(res["hardened"]),
         "unhedged": {k: res["unhedged"][k]
@@ -413,34 +492,9 @@ def run_chaos_gate() -> Dict[str, Any]:
     }
 
 
-def compare_chaos(current: Dict[str, Any],
-                  baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the chaos gate against its baseline doc."""
-    violations = pinned_drift("chaos ", current, baseline,
-                              PINNED_CHAOS_FIELDS, CHAOS_ARMS)
-    naive, hardened = current.get("naive", {}), current.get("hardened", {})
-    if hardened.get("goodput", 0.0) <= naive.get("goodput", 1.0):
-        violations.append(
-            f"chaos: hardened goodput {hardened.get('goodput', 0.0):.1%} "
-            f"does not beat naive {naive.get('goodput', 1.0):.1%}")
-    deadline = current.get("config", {}).get("deadline_s", 0.0)
-    eps = current.get("deadline_eps_s", 0.0)
-    worst = hardened.get("max_time_to_outcome_s", 0.0)
-    if worst > deadline + eps:
-        violations.append(
-            f"chaos: a hardened client was blocked {worst:.6f} s, past "
-            f"its {deadline} s deadline")
-    if current.get("hedged", {}).get("p99_s", 0.0) \
-            >= current.get("unhedged", {}).get("p99_s", 0.0):
-        violations.append(
-            f"chaos: hedging no longer cuts the gray p99 "
-            f"({current.get('hedged', {}).get('p99_s', 0.0):.6f} s vs "
-            f"{current.get('unhedged', {}).get('p99_s', 0.0):.6f} s "
-            "unhedged)")
-    if not current.get("replay_identical", False):
-        violations.append("chaos: run is no longer outcome-identical "
-                          "when replayed from its seed")
-    return violations
+def _chaos_deadline(doc: Doc, baseline: Doc) -> float:
+    """The run's own client deadline plus its float slack."""
+    return doc["config"]["deadline_s"] + doc["deadline_eps_s"]
 
 
 def _chaos_summary(doc: Dict[str, Any]) -> str:
@@ -479,60 +533,23 @@ def _attribution_arm_doc(arm: Dict[str, Any],
     }
 
 
-#: Attribution-arm fields compared exactly against the baseline.
-PINNED_ATTRIBUTION_FIELDS = ("mode", "decision_fingerprint",
-                             "latency_fingerprint")
-
 ATTRIBUTION_ARMS = ("static", "ema", "forced_gpu", "forced_npu")
 
 
 def run_attribution_gate() -> Dict[str, Any]:
     """Replay the pinned E22 drift comparison (all four arms)."""
-    from .experiments.e22_attribution import (
-        MIN_GAP_CLOSED,
-        PHASE1_REQUESTS,
-        run_attribution_arms,
-    )
-    res = run_attribution_arms()
+    res = e22.run_attribution_arms()
     doc: Dict[str, Any] = {
         "experiment": "E22 pinned drift (static vs observation-fed)",
         "config": res["config"],
         "oracle_phase2_mean_s": res["oracle_phase2_mean_s"],
         "gap_closed": res["gap_closed"],
-        "min_gap_closed": MIN_GAP_CLOSED,
+        "min_gap_closed": e22.MIN_GAP_CLOSED,
         "ema_flip_index": res["ema_flip_index"],
     }
     for arm in ATTRIBUTION_ARMS:
-        doc[arm] = _attribution_arm_doc(res[arm], PHASE1_REQUESTS)
+        doc[arm] = _attribution_arm_doc(res[arm], e22.PHASE1_REQUESTS)
     return doc
-
-
-def compare_attribution(current: Dict[str, Any],
-                        baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the attribution gate against its baseline doc."""
-    violations = pinned_drift("attribution ", current, baseline,
-                              PINNED_ATTRIBUTION_FIELDS, ATTRIBUTION_ARMS)
-    min_gap = baseline.get("min_gap_closed", 0.0)
-    gap_closed = current.get("gap_closed", 0.0)
-    if gap_closed < min_gap:
-        violations.append(
-            f"attribution: observed arm closes {gap_closed:.1%} of the "
-            f"static-to-oracle gap, below the required {min_gap:.0%}")
-    if current.get("ema_flip_index") != baseline.get("ema_flip_index"):
-        violations.append(
-            f"attribution: ema arm migrated after "
-            f"{current.get('ema_flip_index')} post-drift requests vs "
-            f"pinned {baseline.get('ema_flip_index')}")
-    if not current.get("static", {}).get("phase2_all_npu", False):
-        violations.append(
-            "attribution: the static arm no longer reproduces the "
-            "open-loop failure (it left the drifted NPU)")
-    for arm in ("static", "ema"):
-        if not current.get(arm, {}).get("phase1_all_npu", False):
-            violations.append(
-                f"attribution: {arm} arm did not serve the healthy "
-                f"phase entirely from the NPU")
-    return violations
 
 
 def _attribution_summary(doc: Dict[str, Any]) -> str:
@@ -568,7 +585,6 @@ def run_throughput_gate(repeat: int = THROUGHPUT_REPEAT) -> Dict[str, Any]:
     ``invoke_many`` path is pinned byte-identical to a serial
     ``invoke`` loop.
     """
-    from .throughput import run_benchmarks, run_invoke_bench
     report = run_benchmarks(repeat=repeat)
     serial = run_invoke_bench(serial=True)
     return {
@@ -589,32 +605,6 @@ def run_throughput_gate(repeat: int = THROUGHPUT_REPEAT) -> Dict[str, Any]:
     }
 
 
-def compare_throughput(current: Dict[str, Any],
-                       baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the throughput gate against its baseline doc.
-
-    The two fingerprints are pinned exactly (determinism: the refactor
-    may only change speed, never event order or span/metric tallies);
-    ``hot_loop_events_per_kernel`` has a machine-relative floor, so
-    absolute events/sec never enters the comparison.
-    """
-    violations = pinned_drift("throughput ", current, baseline,
-                              ("hot_loop_fingerprint",
-                               "invoke_fingerprint"))
-    floor = baseline.get("min_hot_loop_events_per_kernel",
-                         MIN_HOT_LOOP_EVENTS_PER_KERNEL)
-    per_kernel = current.get("hot_loop_events_per_kernel", 0.0)
-    if per_kernel < floor:
-        violations.append(
-            f"throughput: hot loop ran only {per_kernel:,.0f} events "
-            f"per calibration kernel run (required >= {floor:,.0f})")
-    if not current.get("batched_matches_serial", False):
-        violations.append(
-            "throughput: invoke_many outcomes diverged from the "
-            "serial invoke loop")
-    return violations
-
-
 def _throughput_summary(doc: Dict[str, Any]) -> str:
     return (f"  throughput {doc['current_events_per_sec']:,.0f} ev/s, "
             f"{doc['hot_loop_events_per_kernel']:,.0f} events per "
@@ -627,30 +617,7 @@ def _throughput_summary(doc: Dict[str, Any]) -> str:
 # Overload gate
 # ---------------------------------------------------------------------------
 
-#: Sweep-point fields compared exactly — arrivals, admission
-#: decisions, and deadline outcomes all replay deterministically, so
-#: any drift in these counts is a semantic change to the front door.
-PINNED_OVERLOAD_FIELDS = ("offered", "ok", "deadline_miss", "throttled",
-                          "shed", "per_tenant_fingerprint")
-
-#: Hog-run fields compared exactly per arm.
-PINNED_HOG_FIELDS = ("offered", "ok", "hog_ok", "polite_offered",
-                     "polite_ok")
-
-#: Scale-smoke fields compared exactly (1000 tenants through the
-#: gateway).
-PINNED_SCALE_FIELDS = ("tenants", "offered", "ok", "deadline_miss",
-                       "throttled", "shed", "tenants_served")
-
-#: Differential-run fields compared exactly per path (direct invoke
-#: and the NoAdmission pass-through): the outcome digest and, kept
-#: apart so an event-count change cannot hide an outcome change, the
-#: exact simulator event count.
-PINNED_DIFFERENTIAL_FIELDS = ("outcome_digest", "events")
-
 OVERLOAD_ARMS = ("none", "gateway")
-HOG_ARMS = ("hog_none", "hog_gateway")
-DIFFERENTIAL_ARMS = ("direct", "noadmission")
 
 
 def _overload_point_doc(point: Dict[str, Any]) -> Dict[str, Any]:
@@ -662,14 +629,7 @@ def _overload_point_doc(point: Dict[str, Any]) -> Dict[str, Any]:
 
 def run_overload_gate() -> Dict[str, Any]:
     """Replay the pinned short overload sweep (none vs gateway)."""
-    from .experiments.e24_overload import (
-        MAX_UNPROTECTED_FRACTION,
-        MIN_GATED_FRACTION,
-        MIN_JAIN,
-        SHORT,
-        run_overload_arms,
-    )
-    res = run_overload_arms(SHORT)
+    res = e24.run_overload_arms(e24.SHORT)
     return {
         "experiment": "E24 pinned short overload sweep "
                       "(none vs gateway)",
@@ -684,9 +644,9 @@ def run_overload_gate() -> Dict[str, Any]:
         "gated_fraction_at_top": res["gated_fraction_at_top"],
         "none_fraction_at_top": res["none_fraction_at_top"],
         "jain_at_top": res["jain_at_top"],
-        "min_gated_fraction": MIN_GATED_FRACTION,
-        "max_unprotected_fraction": MAX_UNPROTECTED_FRACTION,
-        "min_jain": MIN_JAIN,
+        "min_gated_fraction": e24.MIN_GATED_FRACTION,
+        "max_unprotected_fraction": e24.MAX_UNPROTECTED_FRACTION,
+        "min_jain": e24.MIN_JAIN,
         "hog_none": res["hog_none"],
         "hog_gateway": res["hog_gateway"],
         "scale": res["scale"],
@@ -694,64 +654,6 @@ def run_overload_gate() -> Dict[str, Any]:
         "noadmission": res["noadmission"],
         "noadmission_identical": res["noadmission_identical"],
     }
-
-
-def compare_overload(current: Dict[str, Any],
-                     baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the overload gate against its baseline doc."""
-    violations: List[str] = []
-    base_sweep = baseline.get("sweep", {})
-    cur_sweep = current.get("sweep", {})
-    for arm in OVERLOAD_ARMS:
-        mults = sorted(set(base_sweep.get(arm, {}))
-                       | set(cur_sweep.get(arm, {})), key=float)
-        for mult in mults:
-            violations += pinned_drift(
-                f"overload {arm}@{mult}x.",
-                cur_sweep.get(arm, {}).get(mult, {}),
-                base_sweep.get(arm, {}).get(mult, {}),
-                PINNED_OVERLOAD_FIELDS)
-    min_gated = baseline.get("min_gated_fraction", 0.0)
-    gated_frac = current.get("gated_fraction_at_top", 0.0)
-    if gated_frac < min_gated:
-        violations.append(
-            f"overload: gateway holds only {gated_frac:.1%} of its "
-            f"peak goodput at the top multiplier (required >= "
-            f"{min_gated:.0%})")
-    max_none = baseline.get("max_unprotected_fraction", 1.0)
-    none_frac = current.get("none_fraction_at_top", 1.0)
-    if none_frac >= max_none:
-        violations.append(
-            f"overload: the unprotected arm retains {none_frac:.1%} "
-            f"of its peak at the top multiplier — it no longer "
-            f"collapses (expected < {max_none:.0%}), so the "
-            "comparison is not exercising overload")
-    min_jain = baseline.get("min_jain", 0.0)
-    jain = current.get("jain_at_top", 0.0)
-    if jain < min_jain:
-        violations.append(
-            f"overload: Jain fairness {jain:.3f} among equal-weight "
-            f"tenants at the top multiplier (required >= {min_jain})")
-    violations += pinned_drift("overload ", current, baseline,
-                               PINNED_HOG_FIELDS, HOG_ARMS)
-    gated_polite = current.get("hog_gateway", {}).get("polite_goodput",
-                                                      0.0)
-    none_polite = current.get("hog_none", {}).get("polite_goodput", 1.0)
-    if gated_polite <= none_polite:
-        violations.append(
-            f"overload: per-tenant buckets no longer protect polite "
-            f"tenants from the hog ({gated_polite:.1%} gated vs "
-            f"{none_polite:.1%} unprotected)")
-    violations += pinned_drift("overload ", current, baseline,
-                               PINNED_SCALE_FIELDS, ("scale",))
-    violations += pinned_drift("overload ", current, baseline,
-                               PINNED_DIFFERENTIAL_FIELDS,
-                               DIFFERENTIAL_ARMS)
-    if not current.get("noadmission_identical", False):
-        violations.append(
-            "overload: the NoAdmission pass-through no longer matches "
-            "the seed scheduler path (outcome digest and event count)")
-    return violations
 
 
 def _overload_summary(doc: Dict[str, Any]) -> str:
@@ -769,30 +671,9 @@ def _overload_summary(doc: Dict[str, Any]) -> str:
 # Recovery gate
 # ---------------------------------------------------------------------------
 
-#: Per-arm fields compared exactly — arrivals, faults, detection, and
-#: recovery all replay deterministically, so any drift in these is a
-#: semantic change to the health plane or the invoke path.
-PINNED_RECOVERY_FIELDS = ("offered", "front", "batch", "errors",
-                          "fault_events", "orphaned", "recovered",
-                          "deduped", "ejections", "crashes_detected",
-                          "crashes_total", "detection_latencies",
-                          "outcome_digest", "events")
-
-RECOVERY_ARMS = ("detection", "none")
-
-
 def run_recovery_gate() -> Dict[str, Any]:
     """Replay the pinned short chaos-storm MTTR run (both arms)."""
-    from .experiments.e25_recovery import (
-        MAX_DETECTION_LATENCY,
-        MAX_OFF_RETENTION,
-        MIN_ON_RETENTION,
-        MIN_ORPHANS,
-        MIN_RECOVERED_RATIO,
-        SHORT,
-        run_recovery_arms,
-    )
-    res = run_recovery_arms(SHORT)
+    res = e25.run_recovery_arms(e25.SHORT)
     return {
         "experiment": "E25 pinned short chaos-storm MTTR "
                       "(detection vs none)",
@@ -800,55 +681,12 @@ def run_recovery_gate() -> Dict[str, Any]:
         "detection": res["detection"],
         "none": res["none"],
         "recovery_ratio": res["recovery_ratio"],
-        "min_recovered_ratio": MIN_RECOVERED_RATIO,
-        "min_orphans": MIN_ORPHANS,
-        "min_on_retention": MIN_ON_RETENTION,
-        "max_off_retention": MAX_OFF_RETENTION,
-        "max_detection_latency": MAX_DETECTION_LATENCY,
+        "min_recovered_ratio": e25.MIN_RECOVERED_RATIO,
+        "min_orphans": e25.MIN_ORPHANS,
+        "min_on_retention": e25.MIN_ON_RETENTION,
+        "max_off_retention": e25.MAX_OFF_RETENTION,
+        "max_detection_latency": e25.MAX_DETECTION_LATENCY,
     }
-
-
-def compare_recovery(current: Dict[str, Any],
-                     baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the recovery gate against its baseline doc."""
-    violations = pinned_drift("recovery ", current, baseline,
-                              PINNED_RECOVERY_FIELDS, RECOVERY_ARMS)
-    on = current.get("detection", {})
-    off = current.get("none", {})
-    min_ratio = baseline.get("min_recovered_ratio", 0.0)
-    ratio = current.get("recovery_ratio", 0.0)
-    if ratio < min_ratio:
-        violations.append(
-            f"recovery: only {ratio:.1%} of orphaned in-flight invokes "
-            f"were recovered (required >= {min_ratio:.0%})")
-    min_orphans = baseline.get("min_orphans", 0)
-    if on.get("orphaned", 0) < min_orphans:
-        violations.append(
-            f"recovery: the storm orphaned only "
-            f"{on.get('orphaned', 0)} invokes (required >= "
-            f"{min_orphans}), so it is not exercising crash recovery")
-    min_on = baseline.get("min_on_retention", 0.0)
-    on_ret = on.get("goodput_retention", 0.0)
-    if on_ret < min_on:
-        violations.append(
-            f"recovery: the detection arm holds only {on_ret:.1%} of "
-            f"its pre-fault goodput through the storm (required >= "
-            f"{min_on:.0%})")
-    max_off = baseline.get("max_off_retention", 1.0)
-    off_ret = off.get("goodput_retention", 1.0)
-    if off_ret >= max_off:
-        violations.append(
-            f"recovery: the detection-off arm retains {off_ret:.1%} of "
-            f"its pre-fault goodput — the storm no longer hurts it "
-            f"(expected < {max_off:.0%}), so the comparison is not "
-            "exercising the health plane")
-    max_latency = baseline.get("max_detection_latency", float("inf"))
-    det_max = on.get("detection_latency_max", 0.0)
-    if det_max > max_latency:
-        violations.append(
-            f"recovery: worst crash-detection latency {det_max:.2f} s "
-            f"(required <= {max_latency:.1f} s)")
-    return violations
 
 
 def _recovery_summary(doc: Dict[str, Any]) -> str:
@@ -864,22 +702,6 @@ def _recovery_summary(doc: Dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 # Tail gate
 # ---------------------------------------------------------------------------
-
-#: Objective-arm fields compared exactly — the decision digest pins
-#: *which impl served every request* (the p99 flip and the mean
-#: non-flip), the latency digest every request's exact duration, and
-#: the SLO fields the burn-rate alerting behavior.
-PINNED_TAIL_OBJECTIVE_FIELDS = ("objective", "decision_fingerprint",
-                                "latency_fingerprint", "flip_index",
-                                "stuck_on_bimodal", "slo_alerts")
-
-#: Hedge-arm fields compared exactly per arm.
-PINNED_TAIL_HEDGE_FIELDS = ("mode", "latency_fingerprint", "hedges",
-                            "hedge_wins")
-
-TAIL_OBJECTIVE_ARMS = ("mean", "p99")
-TAIL_HEDGE_ARMS = ("hedge_fixed", "hedge_adaptive")
-
 
 def _tail_objective_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
     """One objective arm with its bulky sequences folded to digests."""
@@ -915,12 +737,7 @@ def _tail_hedge_doc(arm: Dict[str, Any]) -> Dict[str, Any]:
 
 def run_tail_gate() -> Dict[str, Any]:
     """Replay the pinned E26 tail comparison (all four arms)."""
-    from .experiments.e26_tail import (
-        MAX_HEDGE_OVERHEAD,
-        MAX_SKETCH_REL_ERR,
-        run_tail_arms,
-    )
-    res = run_tail_arms()
+    res = e26.run_tail_arms()
     return {
         "experiment": "E26 pinned tail pipeline (p99 objective, "
                       "adaptive hedging, SLO burn)",
@@ -932,50 +749,9 @@ def run_tail_gate() -> Dict[str, Any]:
         "p99_tail_cut": res["p99_tail_cut"],
         "hedge_p99_cut": res["hedge_p99_cut"],
         "sketch_rel_err": res["sketch_rel_err"],
-        "max_sketch_rel_err": MAX_SKETCH_REL_ERR,
-        "max_hedge_overhead": MAX_HEDGE_OVERHEAD,
+        "max_sketch_rel_err": e26.MAX_SKETCH_REL_ERR,
+        "max_hedge_overhead": e26.MAX_HEDGE_OVERHEAD,
     }
-
-
-def compare_tail(current: Dict[str, Any],
-                 baseline: Dict[str, Any]) -> List[str]:
-    """Violations of the tail gate against its baseline doc."""
-    violations = pinned_drift("tail ", current, baseline,
-                              PINNED_TAIL_OBJECTIVE_FIELDS,
-                              TAIL_OBJECTIVE_ARMS)
-    violations += pinned_drift("tail ", current, baseline,
-                               PINNED_TAIL_HEDGE_FIELDS, TAIL_HEDGE_ARMS)
-    if current.get("p99", {}).get("flip_index") is None:
-        violations.append(
-            "tail: the p99-steered optimizer never flipped to the "
-            "tight-tail impl — the tail objective is not steering")
-    if not current.get("mean", {}).get("stuck_on_bimodal", False):
-        violations.append(
-            "tail: the mean-steered arm left the bimodal impl — the "
-            "trap no longer distinguishes mean from tail steering")
-    fixed_p99 = current.get("hedge_fixed", {}).get("p99_s", 0.0)
-    adaptive_p99 = current.get("hedge_adaptive", {}).get("p99_s",
-                                                         float("inf"))
-    if adaptive_p99 >= fixed_p99:
-        violations.append(
-            f"tail: adaptive hedging no longer beats the fixed delay "
-            f"({adaptive_p99:.6f} s p99 vs {fixed_p99:.6f} s fixed)")
-    max_overhead = baseline.get("max_hedge_overhead", 1.0)
-    launch_fraction = current.get("hedge_adaptive",
-                                  {}).get("launch_fraction", 0.0)
-    if launch_fraction > max_overhead:
-        violations.append(
-            f"tail: adaptive hedging launches duplicates for "
-            f"{launch_fraction:.1%} of requests (bound "
-            f"{max_overhead:.0%})")
-    max_err = baseline.get("max_sketch_rel_err", 1.0)
-    rel_err = current.get("sketch_rel_err", 0.0)
-    if rel_err > max_err:
-        violations.append(
-            f"tail: worst sketch-vs-exact quantile error "
-            f"{rel_err:.2%} across the latency streams (bound "
-            f"{max_err:.0%})")
-    return violations
 
 
 def _tail_summary(doc: Dict[str, Any]) -> str:
@@ -993,9 +769,6 @@ def _tail_summary(doc: Dict[str, Any]) -> str:
 # The registry and the CLI
 # ---------------------------------------------------------------------------
 
-Doc = Dict[str, Any]
-
-
 @dataclass(frozen=True)
 class Gate:
     """One regression gate: how to run it, judge it, and report it."""
@@ -1008,35 +781,194 @@ class Gate:
     #: with side artifacts writes them into the ``--out-dir`` it is
     #: given (``None``: write nothing).
     run: Callable[[Optional[Path]], Doc]
-    #: ``compare(doc, baseline)``: violation messages, empty on pass.
-    compare: Callable[[Doc, Doc], List[str]]
+    #: What every run must satisfy: ``claim(name, doc, baseline)``
+    #: returns the claim's violation messages.
+    claims: Tuple[Callable[[str, Doc, Doc], List[str]], ...]
     #: A human-readable report of one run.
     summary: Callable[[Doc], str]
 
+    def compare(self, doc: Doc, baseline: Doc) -> List[str]:
+        """Every claim's violation messages, empty on pass."""
+        return [violation for claim in self.claims
+                for violation in claim(self.name, doc, baseline)]
 
-#: Every gate, in run order.
+
+#: Every gate, in run order. The replays are deterministic, so the
+#: pinned fields are compared exactly and any drift is a behavior
+#: change, not noise.
 GATES: Tuple[Gate, ...] = (
     Gate("e4", "e4_critical_path.json", run_e4_gate,
-         lambda doc, base: compare(doc["by_layer"], base), _e4_summary),
+         (lambda _gate, doc, base: compare(doc["by_layer"], base),),
+         _e4_summary),
     Gate("autoscale", "autoscale_burst.json",
-         lambda _out: run_autoscale_gate(), compare_autoscale,
-         _autoscale_summary),
-    Gate("chaos", "chaos_goodput.json", lambda _out: run_chaos_gate(),
-         compare_chaos, _chaos_summary),
+         lambda _out: run_autoscale_gate(), (
+             # Only the integer outcome counts are pinned; float fields
+             # like p99 and held_seconds ride along in the baseline.
+             Pinned(("offered", "completed", "failed", "cold_starts",
+                     "warm_hits", "prewarmed", "queue_waits",
+                     "final_size"), AUTOSCALE_ARMS),
+             Floor("cold_start_reduction",
+                   FromBaseline("min_reduction", MIN_REDUCTION),
+                   "cold-start reduction {value:.1%} is below the "
+                   "required {bound:.0%}"),
+             *(Holds(f"{arm}.final_size",
+                     f"{arm}: pool did not scale to zero "
+                     "(final_size={value})", lambda size: size == 0)
+               for arm in AUTOSCALE_ARMS),
+         ), _autoscale_summary),
+    Gate("chaos", "chaos_goodput.json", lambda _out: run_chaos_gate(), (
+        # The fault schedule, retries, hedges, and every request
+        # outcome replay deterministically.
+        Pinned(("offered", "ok", "deadline_exceeded", "errors", "retries",
+                "hedges", "hedge_wins", "failovers", "faults_injected",
+                "outcome_fingerprint"), ("naive", "hardened")),
+        Beats("hardened.goodput", "naive.goodput",
+              "chaos: hardened goodput {winner:.1%} does not beat naive "
+              "{loser:.1%}"),
+        Ceiling("hardened.max_time_to_outcome_s", _chaos_deadline,
+                "chaos: a hardened client was blocked {value:.6f} s, past "
+                "its {doc[config][deadline_s]} s deadline"),
+        Beats("hedged.p99_s", "unhedged.p99_s",
+              "chaos: hedging no longer cuts the gray p99 ({winner:.6f} s "
+              "vs {loser:.6f} s unhedged)", lower=True),
+        Holds("replay_identical", "chaos: run is no longer "
+              "outcome-identical when replayed from its seed"),
+    ), _chaos_summary),
     Gate("attribution", "attribution_drift.json",
-         lambda _out: run_attribution_gate(), compare_attribution,
-         _attribution_summary),
+         lambda _out: run_attribution_gate(), (
+             Pinned(("mode", "decision_fingerprint", "latency_fingerprint"),
+                    ATTRIBUTION_ARMS),
+             Floor("gap_closed",
+                   FromBaseline("min_gap_closed", e22.MIN_GAP_CLOSED),
+                   "attribution: observed arm closes {value:.1%} of the "
+                   "static-to-oracle gap, below the required {bound:.0%}"),
+             Pinned(("ema_flip_index",),
+                    message="attribution: ema arm migrated after {value} "
+                            "post-drift requests vs pinned {pinned}"),
+             Holds("static.phase2_all_npu", "attribution: the static arm "
+                   "no longer reproduces the open-loop failure (it left "
+                   "the drifted NPU)"),
+             *(Holds(f"{arm}.phase1_all_npu",
+                     f"attribution: {arm} arm did not serve the healthy "
+                     "phase entirely from the NPU")
+               for arm in ("static", "ema")),
+         ), _attribution_summary),
     Gate("throughput", "throughput.json",
-         lambda _out: run_throughput_gate(), compare_throughput,
-         _throughput_summary),
+         lambda _out: run_throughput_gate(), (
+             # Determinism: the fingerprints may only change with event
+             # order or span/metric tallies, never with speed. The floor
+             # is machine-relative, so absolute events/sec never enters.
+             Pinned(("hot_loop_fingerprint", "invoke_fingerprint")),
+             Floor("hot_loop_events_per_kernel",
+                   FromBaseline("min_hot_loop_events_per_kernel",
+                                MIN_HOT_LOOP_EVENTS_PER_KERNEL),
+                   "throughput: hot loop ran only {value:,.0f} events per "
+                   "calibration kernel run (required >= {bound:,.0f})"),
+             Holds("batched_matches_serial", "throughput: invoke_many "
+                   "outcomes diverged from the serial invoke loop"),
+         ), _throughput_summary),
     Gate("overload", "overload_goodput.json",
-         lambda _out: run_overload_gate(), compare_overload,
-         _overload_summary),
+         lambda _out: run_overload_gate(), (
+             # Arrivals, admission decisions, and deadline outcomes all
+             # replay deterministically, at every sweep point.
+             *(Pinned(("offered", "ok", "deadline_miss", "throttled", "shed",
+                       "per_tenant_fingerprint"), EVERY, ("sweep", arm),
+                      f"{arm}@{{arm}}x")
+               for arm in OVERLOAD_ARMS),
+             Floor("gated_fraction_at_top",
+                   FromBaseline("min_gated_fraction", e24.MIN_GATED_FRACTION),
+                   "overload: gateway holds only {value:.1%} of its peak "
+                   "goodput at the top multiplier (required >= "
+                   "{bound:.0%})"),
+             Ceiling("none_fraction_at_top",
+                     FromBaseline("max_unprotected_fraction",
+                                  e24.MAX_UNPROTECTED_FRACTION),
+                     "overload: the unprotected arm retains {value:.1%} of "
+                     "its peak at the top multiplier — it no longer "
+                     "collapses (expected < {bound:.0%}), so the "
+                     "comparison is not exercising overload", strict=True),
+             Floor("jain_at_top", FromBaseline("min_jain", e24.MIN_JAIN),
+                   "overload: Jain fairness {value:.3f} among equal-weight "
+                   "tenants at the top multiplier (required >= {bound})"),
+             Pinned(("offered", "ok", "hog_ok", "polite_offered",
+                     "polite_ok"), ("hog_none", "hog_gateway")),
+             Beats("hog_gateway.polite_goodput", "hog_none.polite_goodput",
+                   "overload: per-tenant buckets no longer protect polite "
+                   "tenants from the hog ({winner:.1%} gated vs "
+                   "{loser:.1%} unprotected)"),
+             # The 1000-tenant smoke through the gateway.
+             Pinned(("tenants", "offered", "ok", "deadline_miss",
+                     "throttled", "shed", "tenants_served"), ("scale",)),
+             # Direct invoke vs the NoAdmission pass-through: the event
+             # count is pinned apart from the outcome digest, so an
+             # event-count change cannot hide an outcome change.
+             Pinned(("outcome_digest", "events"), ("direct", "noadmission")),
+             Holds("noadmission_identical", "overload: the NoAdmission "
+                   "pass-through no longer matches the seed scheduler path "
+                   "(outcome digest and event count)"),
+         ), _overload_summary),
     Gate("recovery", "recovery_mttr.json",
-         lambda _out: run_recovery_gate(), compare_recovery,
-         _recovery_summary),
-    Gate("tail", "tail_drift.json", lambda _out: run_tail_gate(),
-         compare_tail, _tail_summary),
+         lambda _out: run_recovery_gate(), (
+             # Arrivals, faults, detection, and recovery all replay
+             # deterministically.
+             Pinned(("offered", "front", "batch", "errors", "fault_events",
+                     "orphaned", "recovered", "deduped", "ejections",
+                     "crashes_detected", "crashes_total",
+                     "detection_latencies", "outcome_digest", "events"),
+                    ("detection", "none")),
+             Floor("recovery_ratio", FromBaseline("min_recovered_ratio",
+                                                  e25.MIN_RECOVERED_RATIO),
+                   "recovery: only {value:.1%} of orphaned in-flight "
+                   "invokes were recovered (required >= {bound:.0%})"),
+             Floor("detection.orphaned",
+                   FromBaseline("min_orphans", e25.MIN_ORPHANS),
+                   "recovery: the storm orphaned only {value} invokes "
+                   "(required >= {bound}), so it is not exercising crash "
+                   "recovery"),
+             Floor("detection.goodput_retention",
+                   FromBaseline("min_on_retention", e25.MIN_ON_RETENTION),
+                   "recovery: the detection arm holds only {value:.1%} of "
+                   "its pre-fault goodput through the storm (required >= "
+                   "{bound:.0%})"),
+             Ceiling("none.goodput_retention",
+                     FromBaseline("max_off_retention", e25.MAX_OFF_RETENTION),
+                     "recovery: the detection-off arm retains {value:.1%} of "
+                     "its pre-fault goodput — the storm no longer hurts it "
+                     "(expected < {bound:.0%}), so the comparison is not "
+                     "exercising the health plane", strict=True),
+             Ceiling("detection.detection_latency_max",
+                     FromBaseline("max_detection_latency",
+                                  e25.MAX_DETECTION_LATENCY),
+                     "recovery: worst crash-detection latency {value:.2f} s "
+                     "(required <= {bound:.1f} s)"),
+         ), _recovery_summary),
+    Gate("tail", "tail_drift.json", lambda _out: run_tail_gate(), (
+        # The decision digest pins which impl served every request (the
+        # p99 flip and the mean non-flip), the latency digest every
+        # request's duration, the SLO fields the burn-rate alerting.
+        Pinned(("objective", "decision_fingerprint", "latency_fingerprint",
+                "flip_index", "stuck_on_bimodal", "slo_alerts"),
+               ("mean", "p99")),
+        Pinned(("mode", "latency_fingerprint", "hedges", "hedge_wins"),
+               ("hedge_fixed", "hedge_adaptive")),
+        Holds("p99.flip_index", "tail: the p99-steered optimizer never "
+              "flipped to the tight-tail impl — the tail objective is not "
+              "steering", lambda index: index is not None),
+        Holds("mean.stuck_on_bimodal", "tail: the mean-steered arm left "
+              "the bimodal impl — the trap no longer distinguishes mean "
+              "from tail steering"),
+        Beats("hedge_adaptive.p99_s", "hedge_fixed.p99_s",
+              "tail: adaptive hedging no longer beats the fixed delay "
+              "({winner:.6f} s p99 vs {loser:.6f} s fixed)", lower=True),
+        Ceiling("hedge_adaptive.launch_fraction",
+                FromBaseline("max_hedge_overhead", e26.MAX_HEDGE_OVERHEAD),
+                "tail: adaptive hedging launches duplicates for "
+                "{value:.1%} of requests (bound {bound:.0%})"),
+        Ceiling("sketch_rel_err",
+                FromBaseline("max_sketch_rel_err", e26.MAX_SKETCH_REL_ERR),
+                "tail: worst sketch-vs-exact quantile error {value:.2%} "
+                "across the latency streams (bound {bound:.0%})"),
+    ), _tail_summary),
 )
 
 

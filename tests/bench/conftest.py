@@ -4,7 +4,19 @@ import copy
 
 import pytest
 
-from repro.bench.regress import GATES
+from repro.bench.regress import GATES, Pinned
+
+#: Gate name -> registered gate.
+GATE = {gate.name: gate for gate in GATES}
+
+
+def pinned_pairs(gate, doc):
+    """Key path of every (arm, field) pair ``gate`` pins exactly: the
+    pairs of its ``Pinned`` claims that carry the default drift message
+    (a ``Pinned`` with its own message is a win condition)."""
+    return [keys for claim in gate.claims
+            if isinstance(claim, Pinned) and claim.message == Pinned.message
+            for keys in claim.pairs(doc, doc)]
 
 
 @pytest.fixture(scope="session")
@@ -14,12 +26,11 @@ def gate_doc():
     Each gate replays at most once per session; every call returns a
     private deep copy, so a test may perturb what it gets.
     """
-    gates = {gate.name: gate for gate in GATES}
     docs = {}
 
     def get(name):
         if name not in docs:
-            docs[name] = gates[name].run(None)
+            docs[name] = GATE[name].run(None)
         return copy.deepcopy(docs[name])
 
     return get

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.bench.regress import BASELINE_DIR, compare_attribution, main
+from repro.bench.regress import BASELINE_DIR, main
+
+from .conftest import GATE
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +16,7 @@ def attribution_doc(gate_doc):
 
 def test_gate_meets_its_own_bar(attribution_doc):
     """A fresh gate run satisfies its own baseline and win conditions."""
-    assert compare_attribution(attribution_doc, attribution_doc) == []
+    assert GATE["attribution"].compare(attribution_doc, attribution_doc) == []
     assert attribution_doc["gap_closed"] \
         >= attribution_doc["min_gap_closed"]
     assert attribution_doc["ema"]["phase2_mean_s"] \
@@ -28,35 +30,35 @@ def test_gate_matches_checked_in_baseline(attribution_doc):
     """The repo baseline is fresh: a clean checkout replays it exactly."""
     baseline = json.loads((BASELINE_DIR / "attribution_drift.json")
                           .read_text(encoding="utf-8"))
-    assert compare_attribution(attribution_doc, baseline) == []
+    assert GATE["attribution"].compare(attribution_doc, baseline) == []
 
 
 def test_compare_flags_latency_drift(attribution_doc):
     base = json.loads(json.dumps(attribution_doc))
     base["forced_gpu"]["latency_fingerprint"] = "0" * 16
     assert any("forced_gpu.latency_fingerprint" in v
-               for v in compare_attribution(attribution_doc, base))
+               for v in GATE["attribution"].compare(attribution_doc, base))
 
 
 def test_compare_flags_weak_gap(attribution_doc):
     cur = json.loads(json.dumps(attribution_doc))
     cur["gap_closed"] = 0.1
     assert any("below the required" in v
-               for v in compare_attribution(cur, attribution_doc))
+               for v in GATE["attribution"].compare(cur, attribution_doc))
 
 
 def test_compare_flags_slow_or_absent_migration(attribution_doc):
     cur = json.loads(json.dumps(attribution_doc))
     cur["ema_flip_index"] = None
     assert any("migrated" in v
-               for v in compare_attribution(cur, attribution_doc))
+               for v in GATE["attribution"].compare(cur, attribution_doc))
 
 
 def test_compare_flags_static_arm_leaving_npu(attribution_doc):
     cur = json.loads(json.dumps(attribution_doc))
     cur["static"]["phase2_all_npu"] = False
     assert any("open-loop failure" in v
-               for v in compare_attribution(cur, attribution_doc))
+               for v in GATE["attribution"].compare(cur, attribution_doc))
 
 
 def test_cli_only_attribution_update_then_compare_and_perturb(tmp_path):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.bench.regress import compare_chaos, main
+from repro.bench.regress import main
+
+from .conftest import GATE
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +18,7 @@ def test_chaos_gate_meets_its_own_bar(chaos_doc):
     """A fresh gate run satisfies its own baseline: exact pins hold,
     the hardened arm wins, nobody blocks past a deadline, hedging cuts
     the gray tail, and the run replays outcome-identically."""
-    assert compare_chaos(chaos_doc, chaos_doc) == []
+    assert GATE["chaos"].compare(chaos_doc, chaos_doc) == []
     assert chaos_doc["hardened"]["goodput"] > chaos_doc["naive"]["goodput"]
     assert chaos_doc["hardened"]["max_time_to_outcome_s"] \
         <= chaos_doc["config"]["deadline_s"] + chaos_doc["deadline_eps_s"]
@@ -28,7 +30,7 @@ def test_chaos_gate_meets_its_own_bar(chaos_doc):
 def test_compare_chaos_flags_outcome_fingerprint_drift(chaos_doc):
     base = json.loads(json.dumps(chaos_doc))
     base["naive"]["outcome_fingerprint"] = "0" * 16
-    violations = compare_chaos(chaos_doc, base)
+    violations = GATE["chaos"].compare(chaos_doc, base)
     assert any("outcome_fingerprint" in v for v in violations)
 
 
@@ -36,26 +38,26 @@ def test_compare_chaos_flags_lost_goodput_win(chaos_doc):
     cur = json.loads(json.dumps(chaos_doc))
     cur["hardened"]["goodput"] = cur["naive"]["goodput"]
     assert any("does not beat" in v
-               for v in compare_chaos(cur, cur))
+               for v in GATE["chaos"].compare(cur, cur))
 
 
 def test_compare_chaos_flags_deadline_breach(chaos_doc):
     cur = json.loads(json.dumps(chaos_doc))
     cur["hardened"]["max_time_to_outcome_s"] = \
         cur["config"]["deadline_s"] + 1.0
-    assert any("blocked" in v for v in compare_chaos(cur, cur))
+    assert any("blocked" in v for v in GATE["chaos"].compare(cur, cur))
 
 
 def test_compare_chaos_flags_lost_hedge_win(chaos_doc):
     cur = json.loads(json.dumps(chaos_doc))
     cur["hedged"]["p99_s"] = cur["unhedged"]["p99_s"]
-    assert any("no longer cuts" in v for v in compare_chaos(cur, cur))
+    assert any("no longer cuts" in v for v in GATE["chaos"].compare(cur, cur))
 
 
 def test_compare_chaos_flags_broken_replay(chaos_doc):
     cur = json.loads(json.dumps(chaos_doc))
     cur["replay_identical"] = False
-    assert any("replay" in v for v in compare_chaos(cur, cur))
+    assert any("replay" in v for v in GATE["chaos"].compare(cur, cur))
 
 
 def test_cli_only_chaos_update_then_compare_and_perturb(tmp_path):

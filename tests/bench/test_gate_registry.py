@@ -9,6 +9,8 @@ import pytest
 from repro.bench import regress
 from repro.bench.regress import BASELINE_DIR, GATES, main
 
+from .conftest import pinned_pairs
+
 GATE_NAMES = [gate.name for gate in GATES]
 
 #: The deterministic gates; throughput's run is a timing benchmark and
@@ -17,33 +19,6 @@ REPLAY_GATES = [gate for gate in GATES if gate.name != "throughput"]
 
 CI_YML = Path(__file__).resolve().parents[2] / ".github" / "workflows" \
     / "ci.yml"
-
-
-def _arms(arms, fields):
-    return [(arm, fld) for arm in arms for fld in fields]
-
-
-#: Gate name -> doc -> key paths of every field the gate pins exactly.
-PINNED_PATHS = {
-    "e4": lambda doc: [("by_layer", layer) for layer in doc["by_layer"]],
-    "autoscale": lambda doc: _arms(regress.AUTOSCALE_ARMS,
-                                   regress.PINNED_ARM_FIELDS),
-    "chaos": lambda doc: _arms(regress.CHAOS_ARMS,
-                               regress.PINNED_CHAOS_FIELDS),
-    "attribution": lambda doc: _arms(regress.ATTRIBUTION_ARMS,
-                                     regress.PINNED_ATTRIBUTION_FIELDS),
-    "overload": lambda doc: [
-        ("sweep", arm, mult, fld)
-        for arm in regress.OVERLOAD_ARMS for mult in doc["sweep"][arm]
-        for fld in regress.PINNED_OVERLOAD_FIELDS]
-        + _arms(regress.HOG_ARMS, regress.PINNED_HOG_FIELDS)
-        + _arms(("scale",), regress.PINNED_SCALE_FIELDS),
-    "recovery": lambda doc: _arms(regress.RECOVERY_ARMS,
-                                  regress.PINNED_RECOVERY_FIELDS),
-    "tail": lambda doc: _arms(regress.TAIL_OBJECTIVE_ARMS,
-                              regress.PINNED_TAIL_OBJECTIVE_FIELDS)
-        + _arms(regress.TAIL_HEDGE_ARMS, regress.PINNED_TAIL_HEDGE_FIELDS),
-}
 
 
 def _perturbed(value):
@@ -74,7 +49,8 @@ def test_gate_passes_itself_and_guards_pinned_fields(gate, gate_doc):
     doc = gate_doc(gate.name)
     assert gate.compare(doc, doc) == []
     assert gate.summary(doc)
-    paths = PINNED_PATHS[gate.name](doc)
+    paths = ([("by_layer", layer) for layer in doc["by_layer"]]
+             if gate.name == "e4" else pinned_pairs(gate, doc))
     assert paths
     for path in paths:
         baseline = gate_doc(gate.name)

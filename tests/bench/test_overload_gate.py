@@ -2,8 +2,8 @@
 
 The gate's value rests on the E24 sweep being a pure function of its
 config — the open-loop arrival schedules, admission decisions, and
-deadline outcomes must replay bit-for-bit — and on ``compare_overload``
-actually rejecting every class of drift it documents. These tests pin
+deadline outcomes must replay bit-for-bit — and on the gate's claims
+actually rejecting every class of drift they document. These tests pin
 determinism on a shrunken sweep (the committed baseline pins the full
 SHORT sweep) and exercise each comparison rule on fabricated docs.
 """
@@ -18,7 +18,9 @@ from repro.bench.experiments.e24_overload import (
     OverloadRunConfig,
     jain_index,
 )
-from repro.bench.regress import compare_overload, run_overload_gate
+from repro.bench.regress import run_overload_gate
+
+from .conftest import GATE
 
 #: A sweep small enough for the test suite but with the same shape:
 #: both arms, an under- and over-capacity multiplier, the hog run, and
@@ -42,7 +44,7 @@ def test_overload_gate_doc_is_deterministic(tiny_sweep):
 
 def test_overload_gate_doc_passes_against_itself(tiny_sweep):
     doc = run_overload_gate()
-    assert compare_overload(doc, doc) == []
+    assert GATE["overload"].compare(doc, doc) == []
     # The tiny sweep already exhibits the full-size phenomena the gate
     # is built on: protected goodput holds, unprotected collapses, the
     # hog cannot starve polite tenants, and the pass-through is exact.
@@ -55,7 +57,7 @@ def test_overload_gate_flags_pinned_count_drift(tiny_sweep):
     baseline = run_overload_gate()
     current = run_overload_gate()
     current["sweep"]["gateway"]["4"]["shed"] += 1
-    violations = compare_overload(current, baseline)
+    violations = GATE["overload"].compare(current, baseline)
     assert len(violations) == 1
     assert "gateway@4x.shed" in violations[0]
 
@@ -64,12 +66,12 @@ def test_overload_gate_flags_fingerprint_drift(tiny_sweep):
     baseline = run_overload_gate()
     current = run_overload_gate()
     current["sweep"]["none"]["0.5"]["per_tenant_fingerprint"] = "beef"
-    violations = compare_overload(current, baseline)
+    violations = GATE["overload"].compare(current, baseline)
     assert len(violations) == 1
     assert "none@0.5x.per_tenant_fingerprint" in violations[0]
 
 
-# ---------------------------------------------------- compare_overload
+# ---------------------------------------------------- the gate claims
 def _point(offered=100, ok=80, miss=5, throttled=10, shed=5,
            fingerprint="aaaa"):
     return {"offered": offered, "ok": ok, "deadline_miss": miss,
@@ -106,13 +108,13 @@ def _passing_doc():
 
 
 def test_compare_overload_passes_clean_doc():
-    assert compare_overload(_passing_doc(), _passing_doc()) == []
+    assert GATE["overload"].compare(_passing_doc(), _passing_doc()) == []
 
 
 def test_compare_overload_flags_gated_collapse():
     current = _passing_doc()
     current["gated_fraction_at_top"] = MIN_GATED_FRACTION - 0.05
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "gateway holds only" in violations[0]
 
@@ -122,7 +124,7 @@ def test_compare_overload_flags_unprotected_not_collapsing():
     # exercising overload at all — that is drift, not an improvement.
     current = _passing_doc()
     current["none_fraction_at_top"] = MAX_UNPROTECTED_FRACTION + 0.2
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "no longer collapses" in violations[0]
 
@@ -130,7 +132,7 @@ def test_compare_overload_flags_unprotected_not_collapsing():
 def test_compare_overload_flags_unfair_sharing():
     current = _passing_doc()
     current["jain_at_top"] = MIN_JAIN - 0.1
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "Jain" in violations[0]
 
@@ -138,7 +140,7 @@ def test_compare_overload_flags_unfair_sharing():
 def test_compare_overload_pins_hog_counts():
     current = _passing_doc()
     current["hog_gateway"]["polite_ok"] = 11
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "hog_gateway.polite_ok" in violations[0]
 
@@ -146,7 +148,7 @@ def test_compare_overload_pins_hog_counts():
 def test_compare_overload_requires_hog_protection():
     current = _passing_doc()
     current["hog_gateway"]["polite_goodput"] = 0.1  # below hog_none
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "polite tenants" in violations[0]
 
@@ -154,7 +156,7 @@ def test_compare_overload_requires_hog_protection():
 def test_compare_overload_pins_scale_smoke():
     current = _passing_doc()
     current["scale"]["tenants_served"] = 39
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "scale.tenants_served" in violations[0]
 
@@ -162,19 +164,19 @@ def test_compare_overload_pins_scale_smoke():
 def test_compare_overload_pins_noadmission_identity():
     current = _passing_doc()
     current["noadmission"]["outcome_digest"] = "0000000000000000"
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "noadmission.outcome_digest" in violations[0]
 
     current = _passing_doc()
     current["direct"]["events"] = 899
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "direct.events: 899 vs pinned 900" in violations[0]
 
     current = _passing_doc()
     current["noadmission_identical"] = False
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "no longer" in violations[0]
 
@@ -182,7 +184,7 @@ def test_compare_overload_pins_noadmission_identity():
 def test_compare_overload_flags_missing_sweep_point():
     current = _passing_doc()
     del current["sweep"]["gateway"]["4"]
-    violations = compare_overload(current, _passing_doc())
+    violations = GATE["overload"].compare(current, _passing_doc())
     # Every pinned field of the vanished point is reported missing.
     assert len(violations) == len(_point())
     assert all("gateway@4x" in v for v in violations)

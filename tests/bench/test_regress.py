@@ -7,12 +7,13 @@ import pytest
 from repro.bench.regress import (
     ABS_FLOOR,
     compare,
-    compare_autoscale,
     fold_layers,
     layer_of,
     main,
     run_pinned_e4,
 )
+
+from .conftest import GATE
 
 
 def _baseline(by_layer, **overrides):
@@ -140,7 +141,7 @@ def autoscale_doc(gate_doc):
 def test_autoscale_gate_meets_its_own_bar(autoscale_doc):
     """A fresh gate run satisfies its own baseline: deterministic
     replay, reduction above the floor, both arms back at zero."""
-    assert compare_autoscale(autoscale_doc, autoscale_doc) == []
+    assert GATE["autoscale"].compare(autoscale_doc, autoscale_doc) == []
     assert autoscale_doc["cold_start_reduction"] \
         >= autoscale_doc["min_reduction"]
     assert autoscale_doc["controlled"]["cold_starts"] \
@@ -150,7 +151,7 @@ def test_autoscale_gate_meets_its_own_bar(autoscale_doc):
 def test_compare_autoscale_flags_weak_reduction(autoscale_doc):
     cur = json.loads(json.dumps(autoscale_doc))
     cur["cold_start_reduction"] = 0.1
-    violations = compare_autoscale(cur, autoscale_doc)
+    violations = GATE["autoscale"].compare(cur, autoscale_doc)
     assert any("below the required" in v for v in violations)
 
 
@@ -158,7 +159,7 @@ def test_compare_autoscale_flags_pools_that_never_drain(autoscale_doc):
     cur = json.loads(json.dumps(autoscale_doc))
     base = json.loads(json.dumps(autoscale_doc))
     cur["fixed"]["final_size"] = base["fixed"]["final_size"] = 2
-    violations = compare_autoscale(cur, base)
+    violations = GATE["autoscale"].compare(cur, base)
     # Pinned fields agree, so the only violation is the drain check.
     assert violations == ["fixed: pool did not scale to zero "
                           "(final_size=2)"]

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.bench.regress import BASELINE_DIR, compare_tail, main
+from repro.bench.regress import BASELINE_DIR, main
+
+from .conftest import GATE
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +16,7 @@ def tail_doc(gate_doc):
 
 def test_gate_meets_its_own_bar(tail_doc):
     """A fresh gate run satisfies its own baseline and win conditions."""
-    assert compare_tail(tail_doc, tail_doc) == []
+    assert GATE["tail"].compare(tail_doc, tail_doc) == []
     assert tail_doc["p99"]["flip_index"] is not None
     assert tail_doc["mean"]["stuck_on_bimodal"]
     assert tail_doc["hedge_adaptive"]["p99_s"] \
@@ -28,47 +30,48 @@ def test_gate_matches_checked_in_baseline(tail_doc):
     """The repo baseline is fresh: a clean checkout replays it exactly."""
     baseline = json.loads((BASELINE_DIR / "tail_drift.json")
                           .read_text(encoding="utf-8"))
-    assert compare_tail(tail_doc, baseline) == []
+    assert GATE["tail"].compare(tail_doc, baseline) == []
 
 
 def test_compare_flags_latency_drift(tail_doc):
     base = json.loads(json.dumps(tail_doc))
     base["hedge_adaptive"]["latency_fingerprint"] = "0" * 16
     assert any("hedge_adaptive.latency_fingerprint" in v
-               for v in compare_tail(tail_doc, base))
+               for v in GATE["tail"].compare(tail_doc, base))
 
 
 def test_compare_flags_missing_flip(tail_doc):
     cur = json.loads(json.dumps(tail_doc))
     cur["p99"]["flip_index"] = None
-    assert any("never flipped" in v for v in compare_tail(cur, tail_doc))
+    assert any("never flipped" in v
+               for v in GATE["tail"].compare(cur, tail_doc))
 
 
 def test_compare_flags_unstuck_mean_arm(tail_doc):
     cur = json.loads(json.dumps(tail_doc))
     cur["mean"]["stuck_on_bimodal"] = False
     assert any("mean-steered arm" in v
-               for v in compare_tail(cur, tail_doc))
+               for v in GATE["tail"].compare(cur, tail_doc))
 
 
 def test_compare_flags_weak_adaptive_hedge(tail_doc):
     cur = json.loads(json.dumps(tail_doc))
     cur["hedge_adaptive"]["p99_s"] = cur["hedge_fixed"]["p99_s"] + 1.0
     assert any("hedging no longer beats" in v
-               for v in compare_tail(cur, tail_doc))
+               for v in GATE["tail"].compare(cur, tail_doc))
 
 
 def test_compare_flags_hedge_overhead_blowout(tail_doc):
     cur = json.loads(json.dumps(tail_doc))
     cur["hedge_adaptive"]["launch_fraction"] = \
         cur["max_hedge_overhead"] + 0.01
-    assert any("launch" in v for v in compare_tail(cur, tail_doc))
+    assert any("launch" in v for v in GATE["tail"].compare(cur, tail_doc))
 
 
 def test_compare_flags_sketch_accuracy_regression(tail_doc):
     cur = json.loads(json.dumps(tail_doc))
     cur["sketch_rel_err"] = cur["max_sketch_rel_err"] + 0.01
-    assert any("sketch" in v for v in compare_tail(cur, tail_doc))
+    assert any("sketch" in v for v in GATE["tail"].compare(cur, tail_doc))
 
 
 def test_cli_only_tail_update_then_compare_and_perturb(tmp_path):

@@ -5,14 +5,15 @@ size: the hot loop produces the fingerprint the pre-refactor stack
 produced for the same plan, and ``invoke_many`` is byte-identical to
 the serial ``invoke`` loop. These tests pin both on a shrunken
 workload (the committed baseline pins them at full size), plus the
-``compare_throughput`` violation rules on fabricated docs.
+gate's violation rules on fabricated docs.
 """
 
 import pytest
 
 from repro.bench import throughput
-from repro.bench.regress import MIN_HOT_LOOP_EVENTS_PER_KERNEL, \
-    compare_throughput
+from repro.bench.regress import MIN_HOT_LOOP_EVENTS_PER_KERNEL
+
+from .conftest import GATE
 
 
 def _shrink_hot_loop(monkeypatch):
@@ -68,7 +69,7 @@ def test_run_benchmarks_rejects_bad_repeat():
         throughput.run_benchmarks(repeat=0)
 
 
-# -------------------------------------------------- compare_throughput
+# ------------------------------------------------------ the gate claims
 def _passing_doc():
     return {
         "hot_loop_fingerprint": "aaaa", "invoke_fingerprint": "bbbb",
@@ -79,13 +80,13 @@ def _passing_doc():
 
 
 def test_compare_throughput_passes_clean_doc():
-    assert compare_throughput(_passing_doc(), _passing_doc()) == []
+    assert GATE["throughput"].compare(_passing_doc(), _passing_doc()) == []
 
 
 def test_compare_throughput_flags_slow_current():
     current = _passing_doc()
     current["hot_loop_events_per_kernel"] = 1499.0
-    violations = compare_throughput(current, _passing_doc())
+    violations = GATE["throughput"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "1,499 events" in violations[0]
 
@@ -94,7 +95,7 @@ def test_compare_throughput_pins_fingerprints_exactly():
     for fld in ("hot_loop_fingerprint", "invoke_fingerprint"):
         current = _passing_doc()
         current[fld] = "ffff"
-        violations = compare_throughput(current, _passing_doc())
+        violations = GATE["throughput"].compare(current, _passing_doc())
         assert len(violations) == 1
         assert fld in violations[0]
 
@@ -102,7 +103,7 @@ def test_compare_throughput_pins_fingerprints_exactly():
 def test_compare_throughput_requires_batched_identity():
     current = _passing_doc()
     current["batched_matches_serial"] = False
-    violations = compare_throughput(current, _passing_doc())
+    violations = GATE["throughput"].compare(current, _passing_doc())
     assert len(violations) == 1
     assert "invoke_many" in violations[0]
 
@@ -115,18 +116,6 @@ def test_compare_throughput_uses_baseline_bar():
     baseline = _passing_doc()
     baseline["min_hot_loop_events_per_kernel"] = \
         MIN_HOT_LOOP_EVENTS_PER_KERNEL + 200.0
-    violations = compare_throughput(current, baseline)
+    violations = GATE["throughput"].compare(current, baseline)
     assert len(violations) == 1
     assert "required >=" in violations[0]
-
-
-def test_compare_throughput_defaults_to_module_floor():
-    # A baseline without a floor falls back to the module constant.
-    baseline = _passing_doc()
-    del baseline["min_hot_loop_events_per_kernel"]
-    current = _passing_doc()
-    current["hot_loop_events_per_kernel"] = \
-        MIN_HOT_LOOP_EVENTS_PER_KERNEL - 1.0
-    assert len(compare_throughput(current, baseline)) == 1
-    current["hot_loop_events_per_kernel"] = MIN_HOT_LOOP_EVENTS_PER_KERNEL
-    assert compare_throughput(current, baseline) == []
