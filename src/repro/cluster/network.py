@@ -20,13 +20,14 @@ partition heals (POSIX/SSI-style location transparency).
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Generator, List, Optional, Set, Tuple
 
 from ..sim.deadline import DeadlineExceededError, check_deadline, \
     current_deadline
 from ..sim.engine import Event, Simulator
 from ..sim.metrics_registry import LabeledMetricsRegistry
-from ..sim.resources import Resource, Store
+from ..sim.resources import Store
 from ..sim.rng import RandomStream
 from ..sim.trace import NULL_TRACER, Tracer
 from .latency import LatencyProfile
@@ -49,6 +50,109 @@ class Partition:
         """True if this partition blocks src -> dst traffic."""
         return ((src in self.group_a and dst in self.group_b)
                 or (src in self.group_b and dst in self.group_a))
+
+
+class NicLink:
+    """A node's egress NIC: a capacity-1 FIFO link that frees itself.
+
+    A sender occupies the link for its wire time. Taking a free link
+    stamps ``free_at = now + wire`` and schedules nothing: the link is
+    free again once ``now`` reaches ``free_at``, which the next
+    :meth:`claim` reads. Only queued senders cost an event: one armed
+    *wake*, a ``timeout_at(free_at)`` that exists only while someone is
+    queued, hands the link to the oldest waiter, stamps its
+    ``free_at`` and re-arms while more remain. A holder that leaves
+    mid-wire (interrupted) frees the link early with :meth:`release`;
+    the wake it makes stale is ignored when it fires.
+    """
+
+    __slots__ = ("sim", "name", "free_at", "_waiters", "_wake")
+
+    def __init__(self, sim: Simulator, name: str = ""):
+        self.sim = sim
+        self.name = name
+        #: When the current holder's wire time ends.
+        self.free_at = 0.0
+        self._waiters: Deque[Tuple[Event, float]] = deque()
+        self._wake: Optional[Event] = None
+
+    @property
+    def in_use(self) -> int:
+        """1 while a holder's wire time is running, else 0."""
+        return 1 if self.sim.now < self.free_at else 0
+
+    @property
+    def queue_length(self) -> int:
+        """Number of senders still waiting for the link."""
+        return len(self._waiters)
+
+    def claim(self, wire: float) -> Optional[Event]:
+        """Occupy the link for ``wire`` seconds.
+
+        Returns ``None`` when the link was free and nobody is queued:
+        the caller now holds it until ``free_at``. Otherwise returns a
+        grant event that fires once the link is handed over, with
+        ``free_at`` stamped for this sender; a caller that stops
+        waiting must :meth:`cancel` it.
+        """
+        now = self.sim.now
+        if now >= self.free_at and not self._waiters:
+            self.free_at = now + wire
+            return None
+        grant = Event(self.sim, name=f"acquire:{self.name}")
+        self._waiters.append((grant, wire))
+        if self._wake is None:
+            self._arm()
+        return grant
+
+    def cancel(self, grant: Event) -> None:
+        """Withdraw a :meth:`claim` whose sender gave up.
+
+        A still-queued sender is removed from the queue; one already
+        granted holds the link and releases it (see :meth:`release`).
+        """
+        if grant.triggered:
+            self.release(self.free_at)
+            return
+        waiters = self._waiters
+        for i, (queued, _) in enumerate(waiters):
+            if queued is grant:
+                del waiters[i]
+                break
+        if not waiters:
+            self._wake = None  # nobody left to hand the link to
+
+    def release(self, wire_end: float) -> None:
+        """The holder whose wire time ends at ``wire_end`` leaves now.
+
+        Before ``wire_end`` (interrupted mid-wire) the link frees at
+        once and the oldest waiter is granted immediately. From
+        ``wire_end`` on the link has already freed itself.
+        """
+        now = self.sim.now
+        if now < wire_end:
+            self.free_at = now
+            if self._waiters:
+                self._grant_next()  # re-arming makes the old wake stale
+
+    def _grant_next(self) -> None:
+        # Invariant: ``_wake`` is armed exactly while someone is queued.
+        grant, wire = self._waiters.popleft()
+        self.free_at = self.sim.now + wire
+        grant.succeed()
+        if self._waiters:
+            self._arm()
+        else:
+            self._wake = None
+
+    def _arm(self) -> None:
+        wake = self.sim.timeout_at(self.free_at)
+        wake.callbacks.append(self._on_wake)
+        self._wake = wake
+
+    def _on_wake(self, wake: Event) -> None:
+        if wake is self._wake:  # else made stale by an early release
+            self._grant_next()
 
 
 class Network:
@@ -203,30 +307,39 @@ class Network:
         inflight.add(1, start)
         try:
             if src != dst and self.model_contention and nbytes > 0:
-                # Serialize onto the sender's NIC: hold the egress link
+                # Serialize onto the sender's NIC: the link is occupied
                 # for the wire time (queueing behind concurrent
-                # senders), then pay the propagation/processing parts
-                # without the link. A free link is taken synchronously,
-                # with no grant event; only a busy one queues.
+                # senders), then the propagation/processing parts are
+                # paid without it. A free link is taken synchronously
+                # and frees itself at the stamped wire end, so an
+                # uncontended transfer is one timeout at
+                # ``(now + wire) + prop``. Keep that grouping: it is the
+                # float arithmetic of a wire timeout followed by a
+                # propagation timeout, so arrival times match that
+                # model bit for bit.
                 link = self._egress_link(src)
-                if not link.try_acquire():
-                    grant = link.acquire()
+                grant = link.claim(self.profile.wire_time(nbytes))
+                if grant is not None:
                     try:
                         yield grant
                     except BaseException:
                         # Interrupted (hedge loss, deadline) while
-                        # queued: withdraw the request so the NIC slot
-                        # is not stranded on a dead waiter.
+                        # queued, or granted but not yet resumed: give
+                        # the link back so it is not stranded on a
+                        # dead waiter.
                         link.cancel(grant)
                         raise
+                wire_end = link.free_at
                 try:
-                    yield self.sim.timeout(self.profile.wire_time(nbytes))
-                finally:
-                    link.release()
-                yield self.sim.timeout(self.profile.socket_overhead
-                                       + self.profile.one_way(
-                                           same_rack=self.topology.same_rack(
-                                               src, dst)))
+                    yield self.sim.timeout_at(wire_end + (
+                        self.profile.socket_overhead
+                        + self.profile.one_way(
+                            same_rack=self.topology.same_rack(src, dst))))
+                except BaseException:
+                    # Interrupted mid-wire: the link frees now, not at
+                    # ``wire_end``. Mid-propagation it is already free.
+                    link.release(wire_end)
+                    raise
             else:
                 yield self.sim.timeout(self.one_way_delay(src, dst, nbytes))
         finally:
@@ -299,10 +412,10 @@ class Network:
         self.metrics.counter("network.dropped", src=src, dst=dst,
                              cause=cause).add(1)
 
-    def _egress_link(self, node_id: str) -> Resource:
+    def _egress_link(self, node_id: str) -> NicLink:
         link = self._egress.get(node_id)
         if link is None:
-            link = Resource(self.sim, capacity=1, name=f"nic:{node_id}")
+            link = NicLink(self.sim, name=f"nic:{node_id}")
             self._egress[node_id] = link
         return link
 

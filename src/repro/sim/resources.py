@@ -3,7 +3,9 @@
 Three primitives cover every contention point in the simulated cloud:
 
 * :class:`Resource` — a counting semaphore with a FIFO wait queue
-  (CPU cores, GPU slots, NFS server threads, NIC egress links, ...).
+  (CPU cores, GPU slots, NFS server threads, ...). NIC egress links
+  are not one: they free themselves at the end of the wire time
+  without an event (``repro.cluster.network.NicLink``).
   :meth:`Resource.try_acquire` takes a free slot synchronously, with
   no event, when nobody is queued; :meth:`Resource.acquire` is the
   event-based path for callers that may have to wait.

@@ -105,8 +105,9 @@ def test_local_copies_skip_the_nic():
 
 
 def test_free_nic_is_granted_without_a_grant_event():
-    """An uncontended transfer takes the link synchronously: two timed
-    events (wire, then propagation), no grant event in between."""
+    """An uncontended transfer takes the link synchronously and the
+    link frees itself at the end of the wire time: one timed event at
+    the arrival, no grant or release event."""
     sim, net = make_net()
 
     def flow():
@@ -116,9 +117,35 @@ def test_free_nic_is_granted_without_a_grant_event():
     seq = sim._seq
     sim.run_until_event(proc)
     # The process's init kick is already counted in ``seq``; the
-    # transfer adds its two timeouts and the process's completion.
-    assert sim._seq - seq == 3
+    # transfer adds its one timeout and the process's completion.
+    assert sim._seq - seq == 2
     assert net._egress_link("rack0-n0").in_use == 0
+
+
+@pytest.mark.parametrize("senders, events", [(2, 8), (5, 23)])
+def test_contended_nic_serializes_without_extra_events(senders, events):
+    """Concurrent senders on one NIC finish one wire time apart, and a
+    queued transfer costs three events (wake, grant, arrival): never
+    more than the two-timeout model's grant, wire and propagation."""
+    sim, net = make_net()
+    done = []
+
+    def sender():
+        yield from net.transfer("rack0-n0", "rack1-n0", BIG)
+        done.append(sim.now)
+
+    seq = sim._seq
+    for _ in range(senders):
+        sim.spawn(sender())
+    sim.run()
+    assert [repr(t) for t in done] == [
+        "0.010105", "0.020105", "0.030105", "0.040105",
+        "0.050105000000000004"][:senders]
+    # Per sender an init kick and a completion; the first transfer is
+    # one timeout, each queued one three events.
+    assert sim._seq - seq == events == 2 * senders + 1 + 3 * (senders - 1)
+    link = net._egress_link("rack0-n0")
+    assert link.in_use == 0 and link.queue_length == 0
 
 
 def test_interrupt_mid_wire_after_a_synchronous_grant_frees_the_nic():

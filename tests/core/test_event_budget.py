@@ -1,19 +1,19 @@
 """Event budget of a bare warm invoke.
 
-With every plane off, a warm invoke schedules exactly seven events:
-per transfer (dispatch request, dispatch reply, result) one wire-time
-timeout and one propagation timeout, plus the compute timeout. Free
-NIC slots are taken without a grant event and an executor keeps one
-idle-reaper across releases, so no bookkeeping event moves no
-simulated time. A change that brings one back fails here, not only in
-the benchmark.
+With every plane off, a warm invoke schedules exactly four events:
+one timeout per transfer (dispatch request, dispatch reply, result),
+at the transfer's arrival, plus the compute timeout. A free NIC is
+taken without a grant event and frees itself at the end of the wire
+time without one, and an executor keeps one idle-reaper across
+releases, so each of the four moves simulated time. A change that
+brings a bookkeeping event back fails here, not only in the benchmark.
 """
 
 from repro.cluster import cpu_task
 from repro.core import FunctionImpl, PCSICloud
 from repro.faas import WASM
 
-EVENTS_PER_WARM_INVOKE = 7
+EVENTS_PER_WARM_INVOKE = 4
 WARMUP = 5
 INVOKES = 200
 
@@ -23,7 +23,7 @@ def _body(ctx):
     return {"ok": True}
 
 
-def test_bare_warm_invoke_schedules_seven_events():
+def test_bare_warm_invoke_schedules_four_events():
     cloud = PCSICloud(racks=2, nodes_per_rack=4, gpu_nodes_per_rack=0,
                       seed=3)
     fn = cloud.define_function(

@@ -33,7 +33,7 @@ from repro.sim.rng import RandomStream
 #: code (pre-health-plane), pinned forever.
 SEED_OUTCOME_DIGEST = "6ca50d971d7713e7"
 #: The simulator's exact event count for the same run.
-SEED_EVENTS = 439
+SEED_EVENTS = 399
 
 
 def run_seed_workload(**cloud_kwargs):
