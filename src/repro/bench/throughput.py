@@ -316,7 +316,7 @@ def run_hot_loop_bench(plan: Optional[_HotLoopPlan] = None,
         "events": events,
         "now": repr(sim.now),
         "spans": tracer.span_count,
-        "records": len(tracer),
+        "records": sum(1 for span in tracer.spans() if span.finished),
         "sampled": tracer.sampled_roots,
         "tail_kept": tracer.deferred_kept,
         "tail_dropped": tracer.deferred_dropped,

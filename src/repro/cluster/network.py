@@ -165,8 +165,7 @@ class Network:
     def __init__(self, sim: Simulator, topology: Topology,
                  profile: LatencyProfile,
                  tracer: Optional[Tracer] = None,
-                 metrics: Optional[LabeledMetricsRegistry] = None,
-                 model_contention: bool = True):
+                 metrics: Optional[LabeledMetricsRegistry] = None):
         self.sim = sim
         self.topology = topology
         self.profile = profile
@@ -179,7 +178,6 @@ class Network:
         #: Per-node egress NICs: a sender occupies its link for the
         #: payload's wire time, so concurrent large transfers from one
         #: machine queue instead of enjoying free parallel bandwidth.
-        self.model_contention = model_contention
         self._egress: dict = {}
         # Lossy-link chaos model: disabled by default (zero draws, zero
         # extra events — the default path stays bit-identical).
@@ -306,7 +304,7 @@ class Network:
         inflight = self.metrics.gauge("network.inflight")
         inflight.add(1, start)
         try:
-            if src != dst and self.model_contention and nbytes > 0:
+            if src != dst and nbytes > 0:
                 # Serialize onto the sender's NIC: the link is occupied
                 # for the wire time (queueing behind concurrent
                 # senders), then the propagation/processing parts are

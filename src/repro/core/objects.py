@@ -106,14 +106,13 @@ class ObjectTable:
     are charged a flat control-plane latency by the kernel facade.
     """
 
-    def __init__(self, id_prefix: str = "o"):
+    def __init__(self):
         self._objects: Dict[str, PCSIObject] = {}
         self._ids = itertools.count(1)
-        self._prefix = id_prefix
 
     def new_id(self) -> str:
         """Allocate a fresh object id."""
-        return f"{self._prefix}{next(self._ids)}"
+        return f"o{next(self._ids)}"
 
     def insert(self, obj: PCSIObject) -> PCSIObject:
         """Register a new object."""

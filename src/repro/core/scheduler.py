@@ -38,20 +38,22 @@ from .retry import DEFAULT_BASE_RTT_MULTIPLE, RetryPolicy, race_first_success
 #: Wire size of a dispatch request/ack to the control plane.
 DISPATCH_MSG_BYTES = 256
 
+#: Process-context key under which :meth:`FunctionScheduler.invoke`
+#: leaves the :class:`Invocation` it just completed, for its caller.
+_LAST_INVOCATION = "scheduler.last_invocation"
+
 
 class FunctionScheduler:
     """Executes invocations for a PCSI kernel."""
 
     def __init__(self, kernel, policy: PlacementPolicy,
                  optimizer: ImplOptimizer,
-                 keep_alive: float = DEFAULT_KEEP_ALIVE,
-                 control_node: Optional[str] = None):
+                 keep_alive: float = DEFAULT_KEEP_ALIVE):
         self.kernel = kernel
         self.policy = policy
         self.optimizer = optimizer
         self.keep_alive = keep_alive
-        self.control_node = control_node or \
-            kernel.topology.nodes[0].node_id
+        self.control_node = kernel.topology.nodes[0].node_id
         self._pools: Dict[Tuple[str, str], WarmPool] = {}
         self.history: list = []
 
@@ -115,10 +117,20 @@ class FunctionScheduler:
             else RetryPolicy(max_attempts=max_attempts)
         validate_request(request)
         fn_def = self._resolve_function(fn_ref)
-        result = yield from self._invoke_resolved(
+        inv = yield from self._invoke_resolved(
             client_node, fn_ref, fn_def, args, request,
             preferred_node, impl_name, policy, deadline)
-        return result
+        self.kernel.sim.active_process.context[_LAST_INVOCATION] = inv
+        return inv.result
+
+    def last_invocation_here(self) -> Invocation:
+        """The invocation of the running process's latest :meth:`invoke`.
+
+        Unlike ``history[-1]`` it is this caller's own: overlapping
+        requests append to :attr:`history` while an invoke's result is
+        still in flight. A spawned process starts with its spawner's.
+        """
+        return self.kernel.sim.active_process.context[_LAST_INVOCATION]
 
     def invoke_many(self, client_node: str, fn_ref: Reference,
                     args: Dict[str, Reference],
@@ -154,10 +166,10 @@ class FunctionScheduler:
         for request in requests:
             policy = retry if retry is not None \
                 else RetryPolicy(max_attempts=max_attempts)
-            result = yield from self._invoke_resolved(
+            inv = yield from self._invoke_resolved(
                 client_node, fn_ref, fn_def, args, request,
                 preferred_node, impl_name, policy, deadline)
-            results.append(result)
+            results.append(inv.result)
         return results
 
     def _resolve_function(self, fn_ref: Reference) -> FunctionDef:
@@ -178,7 +190,9 @@ class FunctionScheduler:
                          impl_name: Optional[str],
                          policy: RetryPolicy,
                          deadline: Optional[float]) -> Generator:
-        """One invocation, after reference resolution and validation.
+        """One invocation, after reference resolution and validation;
+        returns the :class:`Invocation` of the attempt that produced the
+        result.
 
         Without a deadline the request path runs inline in the
         caller's process. With one, the same path — dispatch included —
@@ -198,8 +212,8 @@ class FunctionScheduler:
                                       request, preferred_node, impl_name,
                                       root, policy)
             if deadline is None:
-                result = yield from path
-                return result
+                inv = yield from path
+                return inv
 
             root.set(deadline_s=deadline)
             with DeadlineScope(sim, deadline) as bound:
@@ -264,7 +278,7 @@ class FunctionScheduler:
         try:
             while True:
                 try:
-                    result = yield from chain(
+                    inv = yield from chain(
                         client_node, fn_ref, fn_def, args, request,
                         preferred_node, impl_name, root, policy, idem_key)
                 except InvokeOrphanedError as exc:
@@ -310,7 +324,7 @@ class FunctionScheduler:
                     kernel.metrics.counter("invoke.recovered", fn=fn_def.name,
                                            cause=last_cause).add(1)
                     root.set(recovered=recoveries, recovery_cause=last_cause)
-                return result
+                return inv
         finally:
             # Every dispatch of this invoke has settled (a losing
             # hedge arm is interrupted before the chain returns), so
@@ -347,11 +361,11 @@ class FunctionScheduler:
             attempt += 1
             try:
                 with tracer.span("attempt", n=attempt):
-                    result = yield from self._attempt(
+                    inv = yield from self._attempt(
                         client_node, fn_ref, fn_def, args, request,
                         preferred_node, impl_name, root,
                         idem_key=idem_key)
-                return result
+                return inv
             except self.RETRIABLE as exc:
                 if attempt >= policy.max_attempts:
                     raise
@@ -450,11 +464,11 @@ class FunctionScheduler:
         def arm(arm_preferred: Optional[str]) -> Generator:
             # Both arms share one idempotency key: whichever finishes
             # second finds the first's completion in the dedup log.
-            result = yield from self._retry_loop(
+            inv = yield from self._retry_loop(
                 client_node, fn_ref, fn_def, args, request,
                 arm_preferred, impl_name, root, policy,
                 idem_key=idem_key)
-            return result
+            return inv
 
         delay = self._hedge_delay(fn_def, policy)
         with tracer.span("hedge", fn=fn_def.name,
@@ -574,7 +588,7 @@ class FunctionScheduler:
         yield from kernel.network.transfer(executor.node.node_id,
                                            client_node, result_size,
                                            purpose="invoke-result")
-        return result
+        return inv
 
     # -- introspection -------------------------------------------------------------
     def last_invocation(self, fn_name: str) -> Invocation:

@@ -672,7 +672,8 @@ class PCSICloud:
             results[stage_name] = yield from self.scheduler.invoke(
                 client_node, stage.fn_ref, args, stage.request,
                 preferred_node=preferred, impl_name=stage.impl_name)
-            placements[stage_name] = self.scheduler.history[-1].executor_node
+            placements[stage_name] = \
+                self.scheduler.last_invocation_here().executor_node
         return GraphResult(results=results, latency=sim.now - t0,
                            placements=placements,
                            intermediate_refs=intermediate_refs)

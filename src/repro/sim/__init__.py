@@ -40,7 +40,6 @@ from .trace import (
     ProbabilisticSampler,
     SamplingPolicy,
     Span,
-    TraceRecord,
     Tracer,
 )
 
@@ -52,7 +51,7 @@ __all__ = [
     "Counter", "Histogram", "TimeWeightedGauge",
     "EmptyHistogramError",
     "LabeledMetricsRegistry",
-    "RandomStream", "Tracer", "TraceRecord", "Span",
+    "RandomStream", "Tracer", "Span",
     "NULL_SPAN", "NULL_TRACER",
     "SamplingPolicy", "AlwaysSample", "NeverSample",
     "ProbabilisticSampler", "KeyedRateSampler", "ErrorTailSampler",

@@ -299,10 +299,8 @@ class Process(Event):
                 self.succeed(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - propagate to waiters
-                if self.callbacks or sim._strict:
-                    self.fail(exc)
-                    return
-                raise
+                self.fail(exc)
+                return
         finally:
             sim.active_process = prev_active
         if not isinstance(target, Event):
@@ -408,10 +406,9 @@ class Simulator:
       the wheel as the window slides.
     """
 
-    def __init__(self, strict: bool = True):
+    def __init__(self):
         self._now = 0.0
         self._seq = 0
-        self._strict = strict
         self._active_processes = 0
         #: The process whose generator is executing right now (None
         #: between resumptions). Trace context is keyed off this.
@@ -668,7 +665,7 @@ class Simulator:
                 pool = self._kick_pool
                 if len(pool) < _POOL_LIMIT and getrefcount(event) == 3:
                     pool.append(event)
-        elif not event._ok and self._strict:
+        elif not event._ok:
             exc = event._value
             if isinstance(exc, BaseException) and not isinstance(exc, Interrupt):
                 raise exc
@@ -755,7 +752,7 @@ class Simulator:
                     if len(kick_pool) < _POOL_LIMIT \
                             and getrefcount(event) == 2:
                         kick_pool.append(event)
-            elif not event._ok and self._strict:
+            elif not event._ok:
                 exc = event._value
                 if isinstance(exc, BaseException) \
                         and not isinstance(exc, Interrupt):

@@ -83,7 +83,6 @@ class Histogram:
     """
 
     def __init__(self, name: str = "",
-                 exemplar_buckets: Optional[Iterable[float]] = None,
                  exemplar_reservoir: int = DEFAULT_EXEMPLAR_RESERVOIR,
                  backend: str = "exact",
                  relative_accuracy: Optional[float] = None,
@@ -109,11 +108,7 @@ class Histogram:
         self._samples: List[float] = []
         self._sorted = True
         self._sum = 0.0
-        self._bounds: List[float] = sorted(
-            exemplar_buckets if exemplar_buckets is not None
-            else DEFAULT_EXEMPLAR_BUCKETS)
-        if not self._bounds or self._bounds[-1] != math.inf:
-            self._bounds.append(math.inf)
+        self._bounds = DEFAULT_EXEMPLAR_BUCKETS
         self._reservoir = exemplar_reservoir
         #: bucket index -> most recent (value, trace_id) pairs.
         self._exemplars: Dict[int, List[Tuple[float, Any]]] = {}

@@ -83,10 +83,8 @@ class LabeledHistogram(Histogram):
 
     def __init__(self, name: str = "",
                  aggregate: Optional[Histogram] = None,
-                 backend: str = "exact",
-                 relative_accuracy: Optional[float] = None):
-        super().__init__(name, backend=backend,
-                         relative_accuracy=relative_accuracy)
+                 backend: str = "exact"):
+        super().__init__(name, backend=backend)
         self._aggregate = aggregate
 
     def observe(self, value: float,
@@ -145,8 +143,7 @@ class LabeledMetricsRegistry:
     """
 
     def __init__(self, max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
-                 histogram_backend: str = "exact",
-                 sketch_relative_accuracy: Optional[float] = None):
+                 histogram_backend: str = "exact"):
         if max_label_sets < 1:
             raise ValueError("max_label_sets must be >= 1")
         if histogram_backend not in ("exact", "sketch"):
@@ -156,7 +153,6 @@ class LabeledMetricsRegistry:
         #: Default backend for new histogram families ("exact" keeps
         #: every sample; "sketch" bounds memory at ~1% quantile error).
         self.histogram_backend = histogram_backend
-        self.sketch_relative_accuracy = sketch_relative_accuracy
         #: Per-family backend overrides (set before first use).
         self._hist_backends: Dict[str, str] = {}
         self._families: Dict[str, _Family] = {}
@@ -251,10 +247,7 @@ class LabeledMetricsRegistry:
 
     def _histogram_factory(self, name: str):
         backend = self._hist_backends.get(name, self.histogram_backend)
-        accuracy = self.sketch_relative_accuracy \
-            if backend == "sketch" else None
-        return lambda n, agg: LabeledHistogram(
-            n, agg, backend=backend, relative_accuracy=accuracy)
+        return lambda n, agg: LabeledHistogram(n, agg, backend=backend)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         """Get or create a histogram (the family aggregate if unlabeled)."""

@@ -14,17 +14,13 @@ simulation process parent correctly even while many processes
 interleave, and child processes spawned mid-span (quorum fan-out)
 inherit the span that spawned them.
 
-The flat ``record()``/``select()`` API is a view over the spans:
-finishing a span appends the :class:`Span` itself to the flat log and
-to a per-category index, and ``select()``, iteration and
-``sum_field("net.transfer", "nbytes")`` build each :class:`TraceRecord`
-from its span on read. Each finished span is therefore stored once.
-The contract that makes this exact: **a span must not be mutated after
-it ends** — its end time, category and attributes *are* its flat
-record. Only ``record()`` stores a :class:`TraceRecord` directly; no
-kernel code calls it (a kernel fact that is not a span is a metric),
-so it serves callers outside the kernel. ``select()`` is served from the
-per-category index and is O(matches).
+Each span is stored in one place: the tracer's id-keyed span dict
+(start order) plus its parent's child list. Every query
+(``spans(name=, category=)``, ``roots()``, ``children()``, ``walk()``)
+reads that store, and dropping a finished tree is O(tree).
+``record(time, category, **payload)`` is an *instant* span (start =
+end = ``time``, no parent) for callers outside the kernel; no kernel
+code calls it (a kernel fact that is not a span is a metric).
 
 Tracing is off by default; a disabled tracer's ``span()`` returns a
 shared no-op singleton, so the hot path allocates nothing.
@@ -51,8 +47,7 @@ import json
 from collections import deque
 from sys import getrefcount
 from sys import intern as _intern
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Union)
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from .rng import RandomStream
 
@@ -68,54 +63,16 @@ SAMPLE = "sample"
 DROP = "drop"
 DEFER = "defer"
 
-#: Internal per-span marks, propagated parent→child at *open* time so
-#: that ending a span is a local O(1) decision — no root-chain walk
-#: and no global "a deferred tree might be open" flag that would
-#: otherwise force every concurrent span onto the slow path. A child
-#: of a DEFER root (or of another marked child) carries
-#: ``_DEFER_CHILD``; a span that was still open when its tree was
-#: discarded — and any span it opens afterwards — carries ``_ORPHAN``
-#: and records nothing when it ends. Neither value ever reaches a
-#: sampling policy.
-_DEFER_CHILD = "defer_child"
+#: Internal mark of a span whose tree was discarded. Every discarded
+#: span carries it, and a span opened under a marked parent inherits
+#: it at open, so a straggler of a dropped tree — still open at the
+#: discard, or opened afterwards — records nothing when it ends. It
+#: never reaches a sampling policy.
 _ORPHAN = "orphan"
 
 #: Bound on the discarded-span freelist (beyond this, dropped spans are
 #: left to the garbage collector).
 _SPAN_POOL_LIMIT = 4096
-
-
-class TraceRecord:
-    """One flat trace entry (the legacy record shape).
-
-    A slotted plain class. Finished spans are not stored as records:
-    ``select()``, iteration and ``sum_field()`` build one from the span
-    on read (see :func:`_as_record`); only :meth:`Tracer.record` stores
-    a record directly. Records are value-like — equality compares
-    fields — and must be treated as immutable even though slots are
-    technically writable.
-    """
-
-    __slots__ = ("time", "category", "payload")
-
-    def __init__(self, time: float, category: str,
-                 payload: Optional[Dict[str, Any]] = None):
-        self.time = time
-        self.category = category
-        self.payload = payload if payload is not None else {}
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, TraceRecord):
-            return NotImplemented
-        return (self.time == other.time
-                and self.category == other.category
-                and self.payload == other.payload)
-
-    __hash__ = None  # type: ignore[assignment]  # dict payload: unhashable
-
-    def __repr__(self) -> str:
-        return (f"TraceRecord(time={self.time!r}, "
-                f"category={self.category!r}, payload={self.payload!r})")
 
 
 class Span:
@@ -149,9 +106,10 @@ class Span:
         self.end = end
         self.status = status
         self.error = error
-        #: Sampling disposition of a root: None (normal), DEFER
-        #: (recorded provisionally, fate decided at root end), or
-        #: "error_tail" (a deferred tree kept because it erred).
+        #: Sampling disposition: None (normal), DEFER (a root recorded
+        #: provisionally, fate decided at its end), "error_tail" (a
+        #: deferred root kept because its tree erred), or ``_ORPHAN``
+        #: (a span of a discarded tree).
         self.sampling = sampling
         self._kids: Optional[List["Span"]] = None
 
@@ -178,20 +136,8 @@ class Span:
                 f"status={self.status!r})")
 
 
-#: One flat-log entry: a finished span, or a ``record()`` record.
-_Entry = Union[Span, TraceRecord]
-
-
-def _as_record(entry: _Entry) -> TraceRecord:
-    """The flat record of a log entry, built from a span on read."""
-    if type(entry) is Span:
-        return TraceRecord(entry.end, entry.category,
-                           dict(entry.attributes))
-    return entry
-
-
 class _NullSpan:
-    """Shared no-op stand-in when tracing is disabled or filtered.
+    """Shared no-op stand-in when tracing is disabled or unsampled.
 
     Acts as both the context manager and the span, so call sites write
     ``with tracer.span(...) as sp: sp.set(...)`` with zero branches.
@@ -258,7 +204,7 @@ class AlwaysSample(SamplingPolicy):
 
 
 class NeverSample(SamplingPolicy):
-    """Drop every root (spans off, flat ``record()`` still works)."""
+    """Drop every root (spans off; ``record()`` instants are kept)."""
 
     def decide(self, name: str, attributes: Dict[str, Any]) -> str:
         return DROP
@@ -427,45 +373,31 @@ class _SpanContext:
 
 
 class Tracer:
-    """Span-tree trace with a flat record view.
+    """Span-tree trace.
 
     Tracing is off by default (``enabled=False`` constructs a no-op
     tracer) so the hot path stays cheap in large experiments. Bind a
     simulator (:meth:`bind`) for simulated-time clocks and per-process
     context propagation; unbound tracers fall back to an explicit
     ``clock`` callable (or time 0) and a single shared context.
-
-    The flat log holds each finished span once, in end order, next to
-    the records :meth:`record` appends; :meth:`select`, iteration and
-    :meth:`sum_field` read the span's end time, category and attributes
-    at call time. Code that holds a span must therefore not change its
-    attributes after the span ends.
     """
 
     def __init__(self, enabled: bool = True,
-                 categories: Optional[List[str]] = None,
                  clock: Optional[Callable[[], float]] = None,
                  sampler: Optional[SamplingPolicy] = None):
         self.enabled = enabled
-        self._categories = set(categories) if categories else None
         self._clock = clock
         self._sim = None
-        #: The flat log, in end order: finished spans (read as records
-        #: through :func:`_as_record`) and ``record()``'s records.
-        self._records: List[_Entry] = []
-        self._by_category: Dict[str, List[_Entry]] = {}
-        #: The span store: insertion-ordered (= start-ordered) dict.
-        #: There is deliberately no parallel list — discarding a
-        #: sampled-out tree must be O(tree), not O(all spans).
+        #: The span store: insertion-ordered (= start-ordered) dict,
+        #: with each parent's ``_kids`` the only other link. There is
+        #: deliberately no parallel list — discarding a sampled-out
+        #: tree must be O(tree), not O(all spans).
         self._spans_by_id: Dict[int, Span] = {}
         self._ids = itertools.count(1)
         #: Fallback context when no simulator process is active.
         self._local_ctx: Dict[str, Any] = {}
         self._sampler = sampler
         self._unsampled_cm = _UnsampledRootContext(self)
-        #: Finished spans of still-undecided deferred trees, by root
-        #: id; they join the flat log only if the tree is kept.
-        self._deferred_records: Dict[int, List[Span]] = {}
         #: Freelist of discarded spans (only ever *finished* spans from
         #: dropped deferred trees). Entries may still be referenced by
         #: live frames when they enter; the refcount check happens at
@@ -522,7 +454,7 @@ class Tracer:
             if parent is None:
                 return None  # tree already discarded
             node = parent
-        if node.sampling == DEFER:
+        if node.sampling == DEFER or node.sampling == _ORPHAN:
             return None
         return node.span_id
 
@@ -564,19 +496,16 @@ class Tracer:
              parent: Optional[Span] = None, **attributes: Any):
         """Context manager: open a child of the current span.
 
-        Returns :data:`NULL_SPAN` (a shared no-op) when disabled, when
-        the category is filtered out, or anywhere inside an unsampled
-        root's tree, so wrapping hot-path code in
-        ``with tracer.span(...)`` costs almost nothing untraced.
+        Returns :data:`NULL_SPAN` (a shared no-op) when disabled or
+        anywhere inside an unsampled root's tree, so wrapping hot-path
+        code in ``with tracer.span(...)`` costs almost nothing
+        untraced.
 
         With a sampler installed, a span opening with no current span
         (a *root*) consults the policy once; the verdict rides the
         process context to every descendant, across ``spawn`` fan-out.
         """
         if not self.enabled:
-            return NULL_SPAN
-        cat = category if category is not None else name
-        if self._categories is not None and cat not in self._categories:
             return NULL_SPAN
         # Resolve the process context dict once; the returned context
         # manager reuses it for both entry and exit, which run in the
@@ -596,8 +525,9 @@ class Tracer:
                     sampling = DEFER
                 else:
                     self.sampled_roots += 1
-        return _SpanContext(self, name, cat, parent, attributes,
-                            sampling=sampling, ctx=ctx)
+        return _SpanContext(self, name,
+                            category if category is not None else name,
+                            parent, attributes, sampling=sampling, ctx=ctx)
 
     def start_span(self, name: str, parent: Optional[Span] = None,
                    category: Optional[str] = None,
@@ -658,24 +588,18 @@ class Tracer:
                 parent._kids = [span]
             else:
                 kids.append(span)
-            ps = parent.sampling
-            if ps is not None:
-                # Inherit the tree's disposition (see _DEFER_CHILD /
-                # _ORPHAN above); children of kept ("error_tail")
-                # roots record normally and inherit nothing.
-                if ps == DEFER or ps == _DEFER_CHILD:
-                    span.sampling = _DEFER_CHILD
-                elif ps == _ORPHAN:
-                    span.sampling = _ORPHAN
+            if parent.sampling == _ORPHAN:
+                span.sampling = _ORPHAN
         return span
 
     def end_span(self, span: Span, time: Optional[float] = None,
                  status: str = STATUS_OK,
                  error: Optional[str] = None) -> Span:
-        """Close a span and append it to the flat log.
+        """Close a span.
 
-        Spans inside a *deferred* (keep-on-error) tree are buffered
-        until the root closes and the tree's fate is known.
+        Closing a *deferred* (keep-on-error) root decides its tree:
+        kept if any span in it erred, else discarded. A span of an
+        already discarded tree is dropped from the store.
         """
         if span is None or span is NULL_SPAN:
             return span
@@ -687,35 +611,12 @@ class Tracer:
         mark = span.sampling
         if mark is not None:
             if mark == DEFER:
-                # An undecided root: buffer it after its finished
-                # children (record order of a kept tree matches the
-                # non-deferred order) and decide the tree's fate.
-                self._deferred_records.setdefault(
-                    span.span_id, []).append(span)
                 self._resolve_deferred(span)
                 return span
             if mark == _ORPHAN:
                 # Straggler of an already-dropped tree.
                 self._spans_by_id.pop(span.span_id, None)
                 return span
-            if mark == _DEFER_CHILD:
-                node = span
-                while node.parent_id is not None:
-                    parent = self._spans_by_id.get(node.parent_id)
-                    if parent is None:
-                        # Tree discarded between open and end.
-                        self._spans_by_id.pop(span.span_id, None)
-                        return span
-                    node = parent
-                if node.sampling == DEFER:
-                    # Buffer the span; it joins the flat log only if
-                    # the tree is kept.
-                    self._deferred_records.setdefault(
-                        node.span_id, []).append(span)
-                    return span
-                # Root already resolved as kept ("error_tail"): this
-                # late child records normally below.
-        self._append_record(span)
         if span.parent_id is None and self._root_listeners \
                 and self._spans_by_id.get(span.span_id) is span:
             self._notify_root(span)
@@ -723,18 +624,12 @@ class Tracer:
 
     def _resolve_deferred(self, root: Span) -> None:
         """Decide a deferred tree at root end: keep on error, else drop."""
-        finished = self._deferred_records.pop(root.span_id, [])
         if any(s.status == STATUS_ERROR for s in self.walk(root)):
             root.sampling = "error_tail"
             self.deferred_kept += 1
-            for span in finished:
-                self._append_record(span)
             self._notify_root(root)
         else:
             self.deferred_dropped += 1
-            # Release the buffered-span list before discarding so the
-            # pool's refcount check sees only the tree's own links.
-            del finished
             self._discard_tree(root)
 
     def _discard_tree(self, root: Span) -> None:
@@ -758,13 +653,12 @@ class Tracer:
             # checkout. Attribute payloads stay — a caller still holding
             # a discarded span sees its data unchanged.
             node._kids = None
-            if node.end is None:
-                # A straggler process still has this span open: mark it
-                # (and, transitively, anything it opens later) so its
-                # eventual end records nothing. Live spans never enter
-                # the pool.
-                node.sampling = _ORPHAN
-            elif len(pool) < _SPAN_POOL_LIMIT:
+            # A straggler still open ends without recording, and a span
+            # opened later under any discarded span (an explicit
+            # ``parent=`` included) inherits the mark. Live spans never
+            # enter the pool.
+            node.sampling = _ORPHAN
+            if node.end is not None and len(pool) < _SPAN_POOL_LIMIT:
                 pool.append(node)
 
     # -- span queries ----------------------------------------------------
@@ -817,59 +711,26 @@ class Tracer:
             return 0
         return 1 + max(self.depth_of(k) for k in kids)
 
-    # -- flat records (a view over finished spans) -----------------------
     def record(self, time: float, category: str, **payload: Any) -> None:
-        """Append a flat record (no-op if disabled or filtered out)."""
+        """Keep an instant span at ``time`` with ``payload`` as its
+        attributes (a no-op if disabled).
+
+        The span is a root named after ``category``; no sampler is
+        consulted, so it is kept under any policy.
+        """
         if not self.enabled:
             return
-        if self._categories is not None and category not in self._categories:
-            return
-        self._append_record(TraceRecord(time, category, payload))
-
-    def _append_record(self, entry: _Entry) -> None:
-        self._records.append(entry)
-        bucket = self._by_category.get(entry.category)
-        if bucket is None:
-            self._by_category[entry.category] = [entry]
-        else:
-            bucket.append(entry)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return map(_as_record, self._records)
-
-    def select(self, category: str,
-               predicate: Optional[Callable[[TraceRecord], bool]] = None
-               ) -> List[TraceRecord]:
-        """All records in ``category`` matching ``predicate``.
-
-        Served from the per-category index: repeated selects cost
-        O(matches), not O(all records).
-        """
-        out = map(_as_record, self._by_category.get(category, ()))
-        if predicate is not None:
-            return [r for r in out if predicate(r)]
-        return list(out)
-
-    def sum_field(self, category: str, fieldname: str) -> float:
-        """Sum a numeric payload field over a category."""
-        return sum((e.attributes if type(e) is Span else e.payload)
-                   .get(fieldname, 0.0)
-                   for e in self._by_category.get(category, ()))
+        self.end_span(self._open_span(category, category, None, payload,
+                                      time), time)
 
     def clear(self) -> None:
-        """Drop all records and spans.
+        """Drop all spans.
 
         Cleared spans are *not* pooled: callers may hold references to
         them (clearing between experiment phases while keeping a few
         roots for inspection is normal usage).
         """
-        self._records.clear()
-        self._by_category.clear()
         self._spans_by_id.clear()
-        self._deferred_records.clear()
 
     # -- export -----------------------------------------------------------
     def to_chrome_trace(self) -> Dict[str, Any]:

@@ -52,8 +52,7 @@ class ModelServingApp:
     """The pipeline deployed on a PCSI cloud."""
 
     def __init__(self, cloud: PCSICloud,
-                 config: Optional[ModelServingConfig] = None,
-                 fifo_host: Optional[str] = None):
+                 config: Optional[ModelServingConfig] = None):
         self.cloud = cloud
         self.cfg = config if config is not None else ModelServingConfig()
         cfg = self.cfg
@@ -87,8 +86,8 @@ class ModelServingApp:
 
         # Inference -> postprocess handoff FIFO, pinned near the GPUs.
         gpu_nodes = cloud.topology.nodes_with_device("gpu")
-        host = fifo_host or (gpu_nodes[0].node_id if gpu_nodes
-                             else cloud.topology.nodes[0].node_id)
+        host = (gpu_nodes[0].node_id if gpu_nodes
+                else cloud.topology.nodes[0].node_id)
         self.fifo = cloud.create_fifo(host_node=host)
 
         # --- the three functions ----------------------------------------

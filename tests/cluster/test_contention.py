@@ -16,11 +16,11 @@ from repro.sim import MS, Simulator
 from repro.sim.deadline import DeadlineExceededError
 
 
-def make_net(model_contention=True):
+def make_net():
     sim = Simulator()
     topo = build_cluster(sim, racks=2, nodes_per_rack=2,
                          gpu_nodes_per_rack=0)
-    net = Network(sim, topo, DC_2021, model_contention=model_contention)
+    net = Network(sim, topo, DC_2021)
     return sim, net
 
 # 12.5 MB takes 10 ms of wire time at 10 Gb/s.
@@ -29,15 +29,13 @@ BIG = 12_500_000
 
 def test_single_transfer_unchanged_by_contention_model():
     """No contention -> same latency as the closed-form model."""
-    sim_a, net_a = make_net(model_contention=True)
-    sim_b, net_b = make_net(model_contention=False)
-    times = []
-    for sim, net in ((sim_a, net_a), (sim_b, net_b)):
-        def flow(net=net):
-            yield from net.transfer("rack0-n0", "rack1-n0", BIG)
-        sim.run_until_event(sim.spawn(flow()))
-        times.append(sim.now)
-    assert times[0] == pytest.approx(times[1])
+    sim, net = make_net()
+
+    def flow():
+        yield from net.transfer("rack0-n0", "rack1-n0", BIG)
+    sim.run_until_event(sim.spawn(flow()))
+    assert sim.now == pytest.approx(
+        net.one_way_delay("rack0-n0", "rack1-n0", BIG))
 
 
 def test_concurrent_sends_from_one_node_serialize():

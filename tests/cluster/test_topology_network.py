@@ -124,8 +124,10 @@ def test_transfer_records_metrics_and_trace():
     sim.run()
     assert net.metrics.counter("network.bytes").value == 500
     assert net.metrics.counter("network.local_bytes").value == 300
-    assert tracer.sum_field("net.transfer", "nbytes") == 500
-    assert tracer.sum_field("net.local_copy", "nbytes") == 300
+    assert [s.attributes["nbytes"]
+            for s in tracer.spans(category="net.transfer")] == [500]
+    assert [s.attributes["nbytes"]
+            for s in tracer.spans(category="net.local_copy")] == [300]
 
 
 def test_fail_fast_unreachable_raises_after_detection_delay():

@@ -47,7 +47,7 @@ def test_each_invoke_fact_has_one_producer(trace):
     for duplicate in (f"invoke.{FN}", f"invoke.{FN}.cold",
                       "warmpool.warm_hits", "warmpool.cold_starts"):
         assert duplicate not in names
-    assert "invoke.span" not in {r.category for r in cloud.tracer}
+    assert "invoke.span" not in {s.category for s in cloud.tracer.spans()}
 
     metrics = cloud.metrics
     cold = metrics.histogram("invoke.latency", fn=FN, impl="wasm",

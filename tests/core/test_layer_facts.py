@@ -111,7 +111,7 @@ def test_each_layer_fact_has_one_producer(trace):
             "session.latency", "network.dropped"} <= names
     for duplicate in DELETED_FAMILIES:
         assert duplicate not in names
-    categories = {r.category for r in cloud.tracer}
+    categories = {s.category for s in cloud.tracer.spans()}
     assert ("net.transfer" in categories) == trace
     assert "net.drop" not in categories
     assert not any(c.startswith("fault.") for c in categories)

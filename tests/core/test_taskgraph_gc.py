@@ -128,6 +128,49 @@ def test_naive_policy_usually_separates_stages():
     assert colocated < 8
 
 
+def test_overlapping_graphs_report_their_own_placements():
+    """Each graph reads a stage's node from that stage's own invocation.
+
+    The scheduler's shared ``history`` is appended before the result
+    travels back to the caller, so while graph "a" ships its 8 MB
+    result, graph "b"'s stage finishes and appends too. Reading
+    ``history[-1]`` after the invoke would hand "a" the node of "b"'s
+    stage.
+    """
+    cloud = PCSICloud(racks=4, nodes_per_rack=8, gpu_nodes_per_rack=0,
+                      placement="naive", seed=9, keep_alive=600.0)
+
+    def big(ctx):
+        yield from ctx.compute(1e8)
+        return {"node": ctx.node_id, "blob": bytes(8_000_000)}
+
+    def small(ctx):
+        yield from ctx.compute(1e8)
+        return {"node": ctx.node_id}
+
+    graphs = {}
+    for name, body in (("a", big), ("b", small)):
+        g = TaskGraph(name)
+        g.add_stage(name, cloud.define_function(name, [wasm_impl(name)],
+                                                body=body))
+        graphs[name] = g
+    client = cloud.client_node()
+    results = {}
+
+    def submit(name, delay):
+        yield cloud.sim.timeout(delay)
+        results[name] = yield from cloud.submit_graph(client, graphs[name])
+
+    cloud.sim.spawn(submit("a", 0.0))
+    cloud.sim.spawn(submit("b", 0.002))
+    cloud.run()
+    assert results["a"].latency > results["b"].latency
+    nodes = {name: results[name].results[name]["node"] for name in "ab"}
+    assert nodes["a"] != nodes["b"]
+    for name in "ab":
+        assert results[name].placements == {name: nodes[name]}
+
+
 def test_intermediates_ephemeral_under_colocate_replicated_under_naive():
     colo = PCSICloud(racks=2, nodes_per_rack=4, placement="colocate",
                      seed=1)

@@ -72,31 +72,30 @@ def test_lognormal_positive():
 
 
 def test_tracer_records_and_selects():
+    """On an unbound tracer, ``record()`` keeps one instant root span
+    per call, read back by category."""
     tr = Tracer()
     tr.record(1.0, "net.send", nbytes=100)
     tr.record(2.0, "net.send", nbytes=50)
     tr.record(3.0, "storage.read", nbytes=10)
-    assert len(tr) == 3
-    assert tr.sum_field("net.send", "nbytes") == 150
-    sends = tr.select("net.send", lambda r: r.payload["nbytes"] > 60)
-    assert len(sends) == 1 and sends[0].time == 1.0
+    assert tr.span_count == 3
+    sends = tr.spans(category="net.send")
+    assert sum(s.attributes["nbytes"] for s in sends) == 150
+    assert [(s.start, s.end, s.parent_id) for s in sends] == [
+        (1.0, 1.0, None), (2.0, 2.0, None)]
+    big = [s for s in sends if s.attributes["nbytes"] > 60]
+    assert len(big) == 1 and big[0].end == 1.0
 
 
 def test_tracer_disabled_is_noop():
     tr = Tracer(enabled=False)
     tr.record(1.0, "x", a=1)
-    assert len(tr) == 0
-
-
-def test_tracer_category_filter():
-    tr = Tracer(categories=["keep"])
-    tr.record(1.0, "keep", v=1)
-    tr.record(2.0, "drop", v=2)
-    assert len(tr) == 1
+    assert tr.span_count == 0
 
 
 def test_tracer_clear():
     tr = Tracer()
     tr.record(1.0, "x")
     tr.clear()
-    assert len(tr) == 0
+    assert tr.span_count == 0
+    assert tr.spans() == []

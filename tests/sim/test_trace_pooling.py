@@ -9,12 +9,13 @@ parent/child/context/value), and an object the caller still holds is
 never recycled out from under them.
 """
 
+import gc
+
 from repro.sim.engine import Simulator
 from repro.sim.trace import (
     DEFER,
     SAMPLE,
     STATUS_OK,
-    TraceRecord,
     Tracer,
     _ORPHAN,
     _SPAN_POOL_LIMIT,
@@ -159,40 +160,38 @@ def test_straggler_of_dropped_tree_records_nothing():
     sim.run()
 
     assert tracer.deferred_dropped == 1
-    assert len(tracer) == 0          # no flat records materialized
     assert tracer.span_count == 0    # stragglers dropped at end
     # Live (still-open) spans never entered the pool at discard time.
     assert pool_snapshots == [True]
 
 
-# -- the flat record view over pooled spans ------------------------------
-def test_closing_sampled_spans_builds_no_records(monkeypatch):
-    built = []
-    init = TraceRecord.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(TraceRecord, "__init__", counting_init)
+# -- the span store over pooled spans ------------------------------------
+def test_closing_sampled_spans_builds_no_records():
+    """A finished span is held in one place: the tracer's id dict, plus
+    its parent's child list. Closing it copies it nowhere else."""
     tracer = _make_tracer()
     n = 50
     for i in range(n):
         with tracer.span("work", i=i):
             with tracer.span("work.step"):
                 pass
-    # The kept error tail's spans join the log without records too.
+    # A kept error tail's spans are stored the same way.
     try:
         with tracer.span("tail"):
-            raise RuntimeError("keep me")
+            with tracer.span("tail.step"):
+                raise RuntimeError("keep me")
     except RuntimeError:
         pass
     assert tracer.deferred_kept == 1
-    assert len(tracer) == 2 * n + 1
-    assert built == []
-    # Records are built on read, one per entry read.
-    assert len(tracer.select("work")) == n
-    assert len(built) == n
+    assert tracer.span_count == 2 * n + 2
+    spans = tracer.spans()
+    for span in spans:
+        parent = tracer.get_span(span.parent_id) \
+            if span.parent_id is not None else None
+        holders = {id(r) for r in gc.get_referrers(span)
+                   if r is not spans and isinstance(r, (list, dict))}
+        assert holders == {id(tracer._spans_by_id)} | (
+            {id(parent._kids)} if parent is not None else set())
 
 
 def test_span_backing_a_record_never_enters_the_pool():
@@ -222,7 +221,8 @@ def test_span_backing_a_record_never_enters_the_pool():
     sim.run()
     assert tracer.deferred_kept == 4 and tracer.deferred_dropped == 16
     assert tracer._span_pool
-    backing = {id(entry) for entry in tracer._records}
+    backing = {id(span) for span in tracer.spans()}
+    assert len(backing) == 20 + 4 * 2
     assert not backing & {id(span) for span in tracer._span_pool}
 
 
@@ -230,18 +230,18 @@ def test_recycled_spans_never_surface_in_the_view():
     tracer = _make_tracer()
     _run_clean_tail(tracer)
     pooled = {id(s) for s in tracer._span_pool}
-    assert len(tracer) == 0
+    assert tracer.span_count == 0
     for i in range(len(pooled)):
         with tracer.span("fresh", i=i):
             pass
-    # The recycled objects back the new records, under their new life.
-    assert {id(entry) for entry in tracer._records} == pooled
-    assert tracer.select("tail") == []
-    assert tracer.select("tail.step") == []
-    records = list(tracer)
-    assert [r.category for r in records] == ["fresh"] * len(pooled)
-    assert [r.payload for r in records] == [{"i": i}
-                                           for i in range(len(pooled))]
+    # The recycled objects back the new spans, under their new life.
+    spans = tracer.spans()
+    assert {id(span) for span in spans} == pooled
+    assert tracer.spans(category="tail") == []
+    assert tracer.spans(category="tail.step") == []
+    assert [s.category for s in spans] == ["fresh"] * len(pooled)
+    assert [s.attributes for s in spans] == [{"i": i}
+                                             for i in range(len(pooled))]
 
 
 # -- engine event pools -------------------------------------------------

@@ -168,8 +168,7 @@ def test_error_tail_keeps_only_erroring_trees():
     assert root.sampling == "error_tail"
     kept = {s.name for s in tracer.spans()}
     assert kept == {"invoke", "step"}
-    # Compat records of the kept tree were flushed.
-    assert tracer.select("invoke")
+    assert all(s.finished for s in tracer.spans())
 
 
 def test_error_tail_with_simulated_fanout():
@@ -227,4 +226,37 @@ def test_clear_resets_sampling_state():
     cm.__enter__()
     tracer.clear()
     assert tracer.span_count == 0
-    assert tracer._deferred_records == {}
+    # The open deferred root is still decided at its end, and its
+    # discarded tree leaves nothing behind.
+    cm.__exit__(None, None, None)
+    assert tracer.deferred_dropped == 1
+    assert tracer.span_count == 0
+
+
+def test_record_is_kept_under_any_sampler():
+    """``record()`` consults no sampler: its instant span is kept
+    under :class:`NeverSample`, even inside an unsampled root, and is
+    a root even inside a sampled span."""
+    sim = Simulator()
+    tracer = Tracer(enabled=True, sampler=NeverSample()).bind(sim)
+
+    def proc():
+        with tracer.span("invoke"):
+            yield sim.timeout(1.0)
+            tracer.record(sim.now, "note", n=1)
+        tracer.set_sampler(None)
+        with tracer.span("sampled") as sampled:
+            yield sim.timeout(1.0)
+            tracer.record(sim.now, "note", n=2)
+        assert tracer.children(sampled) == []
+
+    sim.spawn(proc())
+    sim.run()
+    tracer.record(5.0, "note", n=3)
+    assert tracer.unsampled_roots == 1
+    notes = tracer.spans(category="note")
+    assert [(s.name, s.start, s.end, s.parent_id, s.attributes)
+            for s in notes] == [("note", 1.0, 1.0, None, {"n": 1}),
+                                ("note", 2.0, 2.0, None, {"n": 2}),
+                                ("note", 5.0, 5.0, None, {"n": 3})]
+    assert tracer.span_count == 4

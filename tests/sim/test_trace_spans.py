@@ -91,19 +91,6 @@ def test_explicit_parent_overrides_context(tracer):
     assert s.parent_id == other.span_id
 
 
-def test_category_filter_returns_null_span(clock):
-    tracer = Tracer(enabled=True, categories=["keep"], clock=clock)
-    assert tracer.span("dropped", category="drop") is NULL_SPAN
-    with tracer.span("kept", category="keep"):
-        pass
-    assert [s.name for s in tracer.spans()] == ["kept"]
-    tracer.record(0.0, "drop", x=1)
-    tracer.record(0.0, "keep", x=1)
-    assert len(tracer) == 2  # span-end compat record + explicit record
-    assert len(tracer.select("keep")) == 2
-    assert tracer.select("drop") == []
-
-
 def test_disabled_tracer_is_free():
     tracer = Tracer(enabled=False)
     cm = tracer.span("anything", big=list(range(10)))
@@ -113,7 +100,6 @@ def test_disabled_tracer_is_free():
         sp.set(ignored=True)
     tracer.record(1.0, "cat", x=1)
     assert tracer.span_count == 0
-    assert len(tracer) == 0
     assert tracer.current_span is None
     assert not NULL_SPAN  # falsy, so `if span:` guards work
 
@@ -125,27 +111,28 @@ def test_null_tracer_shared_and_disabled():
 
 
 def test_span_end_emits_compat_record(tracer, clock):
+    """A finished span is its own record: its end time, category and
+    attributes are read off the span store."""
     with tracer.span("net.transfer", nbytes=100):
         clock.tick()
+    clock.tick()
     with tracer.span("net.transfer", nbytes=50):
         pass
-    assert tracer.sum_field("net.transfer", "nbytes") == 150
-    recs = tracer.select("net.transfer")
-    assert len(recs) == 2
-    assert recs[0].time == pytest.approx(1.0)
+    transfers = tracer.spans(category="net.transfer")
+    assert sum(s.attributes["nbytes"] for s in transfers) == 150
+    assert [s.end for s in transfers] == [1.0, 2.0]
 
 
 def test_select_predicate_and_index(tracer):
     for i in range(5):
         tracer.record(float(i), "a", i=i)
         tracer.record(float(i), "b", i=i)
-    assert len(tracer.select("a")) == 5
-    assert [r.payload["i"] for r in
-            tracer.select("a", lambda r: r.payload["i"] % 2 == 0)] \
-        == [0, 2, 4]
-    # Returned lists are copies: mutating one must not corrupt the index.
-    tracer.select("a").clear()
-    assert len(tracer.select("a")) == 5
+    assert len(tracer.spans(category="a")) == 5
+    assert [s.attributes["i"] for s in tracer.spans(category="a")
+            if s.attributes["i"] % 2 == 0] == [0, 2, 4]
+    # Returned lists are copies: mutating one must not corrupt the store.
+    tracer.spans(category="a").clear()
+    assert len(tracer.spans(category="a")) == 5
 
 
 def test_clear_resets_spans_and_records(tracer):
@@ -154,8 +141,7 @@ def test_clear_resets_spans_and_records(tracer):
     tracer.record(0.0, "y")
     tracer.clear()
     assert tracer.span_count == 0
-    assert len(tracer) == 0
-    assert tracer.select("x") == []
+    assert tracer.spans(category="y") == []
     assert tracer.roots() == []
 
 
@@ -223,8 +209,8 @@ def _observed(tracer, spans, roots_seen):
     fields = [(s.span_id, s.parent_id, s.name, s.category, s.start, s.end,
                s.status, s.error, s.sampling, dict(s.attributes),
                [k.span_id for k in tracer.children(s)]) for s in spans]
-    flat = [(type(e).__name__, e.span_id) for e in tracer._records]
-    return (fields, flat, list(tracer), roots_seen, tracer.span_count,
+    stored = [(s.span_id, dict(s.attributes)) for s in tracer.spans()]
+    return (fields, stored, roots_seen, tracer.span_count,
             tracer.deferred_kept, tracer.deferred_dropped)
 
 
@@ -252,14 +238,39 @@ def test_context_manager_and_explicit_calls_build_the_same_tree(sampled,
             spans = _tree_via_context_managers(tracer, clock, fail)
         observed.append(_observed(tracer, spans, roots_seen))
     assert observed[0] == observed[1]
-    fields, flat, records, roots_seen, span_count, kept, dropped = \
-        observed[0]
+    fields, stored, roots_seen, span_count, kept, dropped = observed[0]
     if sampled and not fail:
-        assert (flat, roots_seen, span_count, dropped) == ([], [], 0, 1)
+        assert (stored, roots_seen, span_count, dropped) == ([], [], 0, 1)
     else:
-        # Flat log in end order: leaves, mid, root; one listener call.
-        assert [sid for _, sid in flat] == [3, 4, 2, 1]
+        # The store in start order: root, mid, leaves; one listener call.
+        assert [sid for sid, _ in stored] == [1, 2, 3, 4]
         assert roots_seen == [(1, 6.0, "error_tail" if sampled else None)]
-        assert records[1].payload == {"nbytes": 20, **(
+        assert stored[3][1] == {"nbytes": 20, **(
             {"cause": "RuntimeError"} if fail else {})}
         assert span_count == 4 and kept == int(sampled)
+
+
+def test_explicit_parent_under_discarded_tree_records_nothing(clock):
+    """A span opened with ``parent=`` a span of a finished, discarded
+    deferred tree (and anything it opens) is dropped at its end."""
+    tracer = Tracer(enabled=True, clock=clock,
+                    sampler=ErrorTailSampler(NeverSample()))
+    roots_seen = []
+    tracer.add_root_listener(roots_seen.append)
+    with tracer.span("req") as root:
+        with tracer.span("leaf") as leaf:
+            clock.tick()
+    assert tracer.deferred_dropped == 1 and tracer.span_count == 0
+    for parent in (root, leaf):
+        late = tracer.start_span("late", parent=parent)
+        with tracer.span("nested", parent=late) as nested:
+            clock.tick()
+        tracer.end_span(late)
+        with tracer.span("stitched", parent=parent):
+            clock.tick()
+        assert late.parent_id == parent.span_id
+        assert nested.parent_id == late.span_id
+    assert tracer.span_count == 0
+    assert roots_seen == []
+    assert tracer.exemplar_root_id(root) is None
+    assert tracer.exemplar_root_id(leaf) is None
