@@ -16,6 +16,7 @@ from typing import Generator
 from ...cluster.failures import FailureInjector
 from ...cluster.resources import cpu_task
 from ...core.functions import FunctionImpl
+from ...core.retry import RetryPolicy
 from ...core.system import PCSICloud
 from ...faas.platforms import WASM
 from ...sim.rng import RandomStream
@@ -56,8 +57,10 @@ def _run(max_attempts: int) -> dict:
     driver = LoadDriver(cloud.sim, RandomStream(201, f"churn-{max_attempts}"),
                         constant_rate(RATE), horizon=HORIZON)
 
+    retry = RetryPolicy(max_attempts=max_attempts)
+
     def handler(idx: int) -> Generator:
-        yield from cloud.invoke(client, fn, max_attempts=max_attempts)
+        yield from cloud.invoke(client, fn, retry=retry)
 
     driver.start(handler)
     cloud.run()

@@ -28,7 +28,7 @@ largely cancels out of the product. The regress gate
 **Hot-loop workload** (all delays precomputed from a seeded
 :class:`~repro.sim.rng.RandomStream` outside the timed region):
 
-* *sessions* — traced invokes: a root span + child span + wheel-range
+* *sessions* — traced invokes: a root span + child span + sub-second
   timeout per iteration, plus a labeled counter add and histogram
   observe. This is the shape of every request in a metered run.
 * *fanout* — PyWren-style burst-parallel joins: parents spawn a wide
@@ -37,8 +37,8 @@ largely cancels out of the product. The regress gate
 * *error tail* — sessions under ``ErrorTailSampler``: most trees are
   provisionally recorded and then dropped, a few erroring ones are
   kept. Exercises deferred-tree resolution and span recycling.
-* *background* — far-horizon sleepers and a sprinkle of interrupts for
-  tier-migration and priority-0 coverage.
+* *background* — long sleepers that keep the schedule heap deep, and a
+  sprinkle of interrupts for priority-0 coverage.
 
 **Invoke bench** — warm invokes through the full PCSI stack
 (`PCSICloud`), batched through ``invoke_many`` unless ``serial=True``
@@ -231,7 +231,7 @@ def _tail_session(sim, tracer, delays, tag: int,
 
 
 def _sleeper(sim, naps) -> Generator:
-    """Far-horizon naps: tier migration under the short-delay churn."""
+    """Long naps: a deep schedule heap under the short-delay churn."""
     for d in naps:
         yield sim.timeout(d)
 

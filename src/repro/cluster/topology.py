@@ -51,10 +51,6 @@ class Topology:
         """Nodes currently alive."""
         return [n for n in self._nodes.values() if n.alive]
 
-    def same_node(self, a: str, b: str) -> bool:
-        """True when both IDs name the same machine."""
-        return a == b
-
     def same_rack(self, a: str, b: str) -> bool:
         """True when the two (distinct) nodes share a rack."""
         return self._nodes[a].rack == self._nodes[b].rack

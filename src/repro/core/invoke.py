@@ -218,15 +218,14 @@ class FunctionContext:
         return self._kernel.sim.spawn(gen, name=f"async:{self.invocation.fn_name}")
 
 
-def default_body(ctx: FunctionContext) -> Generator:
-    """The declarative body: read inputs, compute, write outputs.
+def default_body(fn_def: FunctionDef, ctx: FunctionContext) -> Generator:
+    """The declarative body of ``fn_def``: read inputs, compute, write
+    outputs.
 
-    Used when a :class:`FunctionDef` has no programmable body. Sizes
-    flow: output size = FunctionDef.output_nbytes(inputs, request).
+    Used, bound to its :class:`FunctionDef`, when the definition has no
+    programmable body. Sizes flow: output size =
+    FunctionDef.output_nbytes(inputs, request).
     """
-    fn_def: FunctionDef = ctx.request.get("__fn_def__")
-    if fn_def is None:
-        raise InvocationError("default body needs __fn_def__ plumbing")
     input_bytes = 0
     for name in fn_def.reads:
         if name not in ctx.args:
@@ -235,9 +234,7 @@ def default_body(ctx: FunctionContext) -> Generator:
         input_bytes += payload.nbytes
     if ctx.impl.work_ops:
         yield from ctx.compute(ctx.impl.work_ops)
-    out_size = fn_def.resolve_output_size(
-        input_bytes, {k: v for k, v in ctx.request.items()
-                      if k != "__fn_def__"})
+    out_size = fn_def.resolve_output_size(input_bytes, ctx.request)
     for name in fn_def.writes:
         if name not in ctx.args:
             raise InvocationError(f"missing output argument {name!r}")

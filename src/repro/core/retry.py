@@ -183,6 +183,12 @@ class RetryPolicy:
         return self.budget.withdraw()
 
 
+#: What ``retry=None`` means at every invoke entry point: one attempt.
+#: It has no budget, rng or hedge, so it holds no state and one shared
+#: instance serves every call.
+NO_RETRY = RetryPolicy()
+
+
 def race_first_success(sim, processes: Sequence) -> Generator:
     """First process to *succeed* wins; returns the winning process.
 

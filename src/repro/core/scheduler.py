@@ -12,6 +12,7 @@ pay-per-use costs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from ..cluster.health import CircuitOpenError, InvokeOrphanedError
@@ -33,7 +34,12 @@ from .objects import ObjectKind
 from .optimizer import ImplOptimizer
 from .placement import PlacementPolicy
 from .references import Reference
-from .retry import DEFAULT_BASE_RTT_MULTIPLE, RetryPolicy, race_first_success
+from .retry import (
+    DEFAULT_BASE_RTT_MULTIPLE,
+    NO_RETRY,
+    RetryPolicy,
+    race_first_success,
+)
 
 #: Wire size of a dispatch request/ack to the control plane.
 DISPATCH_MSG_BYTES = 256
@@ -91,17 +97,15 @@ class FunctionScheduler:
                args: Dict[str, Reference], request: Dict[str, Any],
                preferred_node: Optional[str] = None,
                impl_name: Optional[str] = None,
-               max_attempts: int = 1,
                retry: Optional[RetryPolicy] = None,
                deadline: Optional[float] = None) -> Generator:
         """Run one invocation end to end; returns the body's result.
 
-        ``max_attempts > 1`` retries transient infrastructure failures
-        (unreachable replicas, lost quorums, placement races) with a
-        short backoff; application exceptions always propagate. A
-        ``retry`` policy supersedes ``max_attempts`` and adds jittered
-        backoff, a shared retry budget, and hedging (see
-        :class:`~repro.core.retry.RetryPolicy`).
+        ``retry`` (a :class:`~repro.core.retry.RetryPolicy`) retries
+        transient infrastructure failures (unreachable replicas, lost
+        quorums, placement races) with backoff, optionally jittered,
+        budgeted, or hedged; application exceptions always propagate.
+        ``None`` tries once.
 
         ``deadline`` is a *relative* time budget in seconds. It
         propagates through the function context into nested invokes,
@@ -111,10 +115,7 @@ class FunctionScheduler:
         :class:`DeadlineExceededError` is raised at expiry and the
         in-flight work is cancelled, never left to block the caller.
         """
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        policy = retry if retry is not None \
-            else RetryPolicy(max_attempts=max_attempts)
+        policy = NO_RETRY if retry is None else retry
         validate_request(request)
         fn_def = self._resolve_function(fn_ref)
         inv = yield from self._invoke_resolved(
@@ -137,7 +138,6 @@ class FunctionScheduler:
                     requests: list,
                     preferred_node: Optional[str] = None,
                     impl_name: Optional[str] = None,
-                    max_attempts: int = 1,
                     retry: Optional[RetryPolicy] = None,
                     deadline: Optional[float] = None) -> Generator:
         """Run a batch of invocations serially; returns their results.
@@ -157,15 +157,12 @@ class FunctionScheduler:
         if the caller looped over :meth:`invoke` passing the same
         policy. ``deadline`` applies per request, not to the batch.
         """
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        policy = NO_RETRY if retry is None else retry
         fn_def = self._resolve_function(fn_ref)
         for request in requests:
             validate_request(request)
         results = []
         for request in requests:
-            policy = retry if retry is not None \
-                else RetryPolicy(max_attempts=max_attempts)
             inv = yield from self._invoke_resolved(
                 client_node, fn_ref, fn_def, args, request,
                 preferred_node, impl_name, policy, deadline)
@@ -545,12 +542,8 @@ class FunctionScheduler:
         kernel.refs.pin(fn_ref.object_id)
         try:
             body = fn_def.body
-            run_request = inv.request
             if body is None:
-                body = default_body
-                run_request = dict(inv.request)
-                run_request["__fn_def__"] = fn_def
-                inv.request = run_request
+                body = partial(default_body, fn_def)
             ctx = FunctionContext(kernel, inv, executor, impl)
             with tracer.span("execute", fn=fn_def.name, impl=impl.name,
                              node=inv.executor_node, cold=inv.cold_start):

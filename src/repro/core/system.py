@@ -570,25 +570,23 @@ class PCSICloud:
                request: Optional[Dict[str, Any]] = None,
                preferred_node: Optional[str] = None,
                impl_name: Optional[str] = None,
-               max_attempts: int = 1,
                retry=None,
                deadline: Optional[float] = None) -> Generator:
         """Invoke a function from ``client_node``; returns its result.
 
-        ``max_attempts > 1`` retries transient infrastructure failures
-        (safe: functions hold no implicit state). A ``retry``
-        :class:`~repro.core.retry.RetryPolicy` supersedes
-        ``max_attempts`` and adds jittered backoff, retry budgets, and
-        hedged duplicates. ``deadline`` (relative seconds) bounds the
-        whole call: the budget shrinks through nested invokes, storage
-        operations, and network waits, and
-        :class:`~repro.core.errors.DeadlineExceededError` is raised at
-        expiry rather than blocking past it.
+        ``retry`` (a :class:`~repro.core.retry.RetryPolicy`) retries
+        transient infrastructure failures (safe: functions hold no
+        implicit state), with optional jittered backoff, retry budgets,
+        and hedged duplicates; ``None`` tries once. ``deadline``
+        (relative seconds) bounds the whole call: the budget shrinks
+        through nested invokes, storage operations, and network waits,
+        and :class:`~repro.core.errors.DeadlineExceededError` is raised
+        at expiry rather than blocking past it.
         """
         result = yield from self.scheduler.invoke(
             client_node, fn_ref, args or {}, request or {},
             preferred_node=preferred_node, impl_name=impl_name,
-            max_attempts=max_attempts, retry=retry, deadline=deadline)
+            retry=retry, deadline=deadline)
         return result
 
     # The syscall surface calls this (nested invocation).
@@ -599,7 +597,6 @@ class PCSICloud:
                     requests: Optional[List[Dict[str, Any]]] = None,
                     preferred_node: Optional[str] = None,
                     impl_name: Optional[str] = None,
-                    max_attempts: int = 1,
                     retry=None,
                     deadline: Optional[float] = None) -> Generator:
         """Invoke a batch of requests serially; returns their results.
@@ -617,7 +614,7 @@ class PCSICloud:
         results = yield from self.scheduler.invoke_many(
             client_node, fn_ref, args or {}, list(requests or ()),
             preferred_node=preferred_node, impl_name=impl_name,
-            max_attempts=max_attempts, retry=retry, deadline=deadline)
+            retry=retry, deadline=deadline)
         return results
 
     def submit_graph(self, client_node: str, graph: TaskGraph,

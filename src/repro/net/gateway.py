@@ -243,12 +243,12 @@ class NoAdmission:
                deadline: Optional[float] = None,
                preferred_node: Optional[str] = None,
                impl_name: Optional[str] = None,
-               max_attempts: int = 1, retry=None) -> Generator:
+               retry=None) -> Generator:
         """Run one request with no admission control at all."""
         result = yield from self.kernel.scheduler.invoke(
             client_node, fn_ref, args or {}, request or {},
             preferred_node=preferred_node, impl_name=impl_name,
-            max_attempts=max_attempts, retry=retry, deadline=deadline)
+            retry=retry, deadline=deadline)
         return result
 
 
@@ -308,11 +308,6 @@ class AdmissionGateway:
         """Requests waiting for a dispatch slot right now."""
         return len(self._wfq)
 
-    @property
-    def in_dispatch(self) -> int:
-        """Requests currently occupying a dispatch slot."""
-        return self._busy
-
     # -- telemetry -------------------------------------------------------
     def _count(self, event: str, tenant: str,
                cause: Optional[str] = None) -> None:
@@ -355,7 +350,7 @@ class AdmissionGateway:
                tenant: str, deadline: Optional[float] = None,
                preferred_node: Optional[str] = None,
                impl_name: Optional[str] = None,
-               max_attempts: int = 1, retry=None) -> Generator:
+               retry=None) -> Generator:
         """Admit-or-reject one request, then run it to completion.
 
         Returns the function result. Raises :class:`ThrottledError`
@@ -429,8 +424,7 @@ class AdmissionGateway:
                 result = yield from self.kernel.scheduler.invoke(
                     client_node, fn_ref, args or {}, request or {},
                     preferred_node=preferred_node, impl_name=impl_name,
-                    max_attempts=max_attempts, retry=retry,
-                    deadline=remaining)
+                    retry=retry, deadline=remaining)
                 return result
             finally:
                 self._release_slot()

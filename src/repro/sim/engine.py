@@ -12,15 +12,15 @@ order (a monotonically increasing sequence number breaks ties), so a
 simulation is a pure function of its inputs and RNG seeds.
 
 Hot-path design (see docs/INTERNALS.md, "engine hot path"): the
-schedule is tiered. A sliding **timer wheel** of fixed-granularity
-buckets absorbs the common short-delay schedule with an O(1) list
-append; a **far heap** holds events beyond the wheel horizon; and a
-small **active heap** holds only the current bucket, which is where
-(time, priority, seq) ordering is settled. Timeout and internal kick
-events are recycled through freelists once their callbacks have run and
-no outside reference survives, so steady-state runs approach zero
+schedule is two stores. Same-instant schedules (kicks, succeed/fail,
+zero-delay timeouts) go to a FIFO deque, whose order is already
+scheduling order; everything else, priority-0 interrupt kicks
+included, goes to one heap of ``(time, priority, seq, event)``. Each
+pop takes the smaller of the two heads. Timeout and internal kick
+events are recycled through freelists once their callbacks have run
+and no outside reference survives, so steady-state runs approach zero
 allocation per event. None of this is observable: the event order is
-byte-identical to a single global heap.
+that of a single global heap.
 
 Example
 -------
@@ -38,7 +38,7 @@ Example
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -59,17 +59,6 @@ HOUR = 3600.0
 PENDING = "pending"
 TRIGGERED = "triggered"
 PROCESSED = "processed"
-
-#: Timer-wheel shape: bucket width in simulated seconds and slot count
-#: (a power of two, so the slot index is a mask). Delays shorter than
-#: ``WHEEL_GRANULARITY * WHEEL_SLOTS`` (~0.4 s) — the vast majority of
-#: network/compute waits — schedule with a list append instead of a
-#: log-n heap push. The wheel only re-tiers storage; ordering is always
-#: settled by (time, priority, seq) inside the active bucket.
-WHEEL_GRANULARITY = 1e-4
-WHEEL_SLOTS = 4096
-_WHEEL_MASK = WHEEL_SLOTS - 1
-_INV_GRANULARITY = 1.0 / WHEEL_GRANULARITY
 
 #: Freelist bound per event class (beyond this, retired events are left
 #: to the garbage collector).
@@ -394,16 +383,17 @@ class AnyOf(Condition):
 
 
 class Simulator:
-    """The event loop: a tiered priority queue of (time, priority, seq, event).
+    """The event loop: a priority queue of (time, priority, seq, event).
 
-    Storage tiers (behaviorally invisible — see module docstring):
+    Two stores (behaviorally invisible — see module docstring):
 
-    * ``_active`` — heap holding the bucket currently being drained;
-      every pop settles exact (time, priority, seq) order here.
-    * ``_wheel`` — ``WHEEL_SLOTS`` lists of entries within the horizon;
-      ``_bucket_heap`` tracks which absolute buckets are non-empty.
-    * ``_far`` — heap of entries beyond the horizon; they migrate into
-      the wheel as the window slides.
+    * ``_immediate`` — FIFO deque of priority-1 entries at the current
+      instant; append order is seq order, so its head is its minimum.
+    * ``_heap`` — heap of every other entry (later times, and
+      priority-0 interrupt kicks at the current instant).
+
+    A pop takes ``_heap[0]`` when it compares below ``_immediate[0]``,
+    else the deque's head.
     """
 
     def __init__(self):
@@ -413,14 +403,10 @@ class Simulator:
         #: The process whose generator is executing right now (None
         #: between resumptions). Trace context is keyed off this.
         self.active_process: Optional[Process] = None
-        # -- tiered schedule ------------------------------------------
+        # -- schedule -------------------------------------------------
         self._pending = 0
         self._immediate: deque = deque()
-        self._active: List = []
-        self._wheel: List[List] = [[] for _ in range(WHEEL_SLOTS)]
-        self._bucket_heap: List[int] = []
-        self._far: List = []
-        self._base = 0
+        self._heap: List = []
         # -- freelists ------------------------------------------------
         self._timeout_pool: List[Timeout] = []
         self._kick_pool: List[_Kick] = []
@@ -452,26 +438,14 @@ class Simulator:
             ev._ok = True
             ev._state = TRIGGERED
             ev.delay = delay
-            # Inline of _schedule(ev, delay) and _place — the hottest
+            # Inline of _schedule(ev, delay) — the hottest
             # allocation-free path in the kernel.
             self._seq += 1
             self._pending += 1
             if delay == 0.0:
                 self._immediate.append((self._now, 1, self._seq, ev))
-                return ev
-            when = self._now + delay
-            entry = (when, 1, self._seq, ev)
-            bucket = int(when * _INV_GRANULARITY)
-            base = self._base
-            if bucket <= base:
-                heappush(self._active, entry)
-            elif bucket - base < WHEEL_SLOTS:
-                slot = self._wheel[bucket & _WHEEL_MASK]
-                if not slot:
-                    heappush(self._bucket_heap, bucket)
-                slot.append(entry)
             else:
-                heappush(self._far, entry)
+                heappush(self._heap, (self._now + delay, 1, self._seq, ev))
             return ev
         return Timeout(self, delay, value)
 
@@ -504,7 +478,7 @@ class Simulator:
         if when == now:
             self._immediate.append((now, 1, self._seq, ev))
         else:
-            self._place((when, 1, self._seq, ev))
+            heappush(self._heap, (when, 1, self._seq, ev))
         return ev
 
     def _kick(self, reason: str, ok: bool, value: Any,
@@ -528,8 +502,8 @@ class Simulator:
             self._immediate.append((self._now, 1, self._seq, ev))
         else:
             # Priority-0 interrupt kicks must order ahead of
-            # same-instant priority-1 work: the active heap sorts it.
-            heappush(self._active, (self._now, priority, self._seq, ev))
+            # same-instant priority-1 work: the heap sorts it.
+            heappush(self._heap, (self._now, priority, self._seq, ev))
 
     def spawn(self, generator: Generator, name: str = "",
               inherit_context: bool = True) -> Process:
@@ -543,9 +517,6 @@ class Simulator:
         """
         return Process(self, generator, name=name,
                        inherit_context=inherit_context)
-
-    # Alias matching simpy vocabulary.
-    process = spawn
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event firing once all ``events`` fire."""
@@ -561,75 +532,12 @@ class Simulator:
         self._pending += 1
         if delay == 0.0 and priority == 1:
             # Same-instant schedule (kicks, succeed/fail, joins): a
-            # FIFO append. Deque order IS seq order, and every entry
-            # here precedes anything in the wheel/far tiers (their
-            # times are strictly later), so pops only ever compare
-            # against the active heap's top.
+            # FIFO append. Deque order IS seq order, and every heap
+            # entry at a later time sorts after it, so pops only ever
+            # compare the two heads.
             self._immediate.append((self._now, 1, self._seq, event))
             return
-        self._place((self._now + delay, priority, self._seq, event))
-
-    def _place(self, entry: tuple) -> None:
-        """File a ``(when, priority, seq, event)`` entry into its tier:
-        the active heap for the current bucket, a wheel slot within
-        the horizon, else the far heap."""
-        bucket = int(entry[0] * _INV_GRANULARITY)
-        base = self._base
-        if bucket <= base:
-            heappush(self._active, entry)
-        elif bucket - base < WHEEL_SLOTS:
-            slot = self._wheel[bucket & _WHEEL_MASK]
-            if not slot:
-                heappush(self._bucket_heap, bucket)
-            slot.append(entry)
-        else:
-            heappush(self._far, entry)
-
-    def _settle(self) -> None:
-        """Make ``_active`` hold the earliest pending entries.
-
-        No-op when ``_active`` is already populated (its entries are
-        always globally earliest: wheel slots and the far heap only
-        hold later buckets). Otherwise slides the window forward to
-        the next non-empty bucket, merging far-heap entries that have
-        come inside the horizon. Never advances ``_now`` and never
-        runs callbacks, so it is safe to call at any point.
-        """
-        if self._active or not self._pending:
-            return
-        bheap = self._bucket_heap
-        far = self._far
-        near = bheap[0] if bheap else None
-        if far:
-            far_bucket = int(far[0][0] * _INV_GRANULARITY)
-            target = far_bucket if near is None or far_bucket < near else near
-        else:
-            target = near
-        # target is not None here: _pending > 0 and _active is empty,
-        # so at least one tier holds an entry.
-        self._base = target
-        if near == target:
-            heappop(bheap)
-            idx = target & _WHEEL_MASK
-            bucket = self._wheel[idx]
-            self._wheel[idx] = []
-        else:
-            bucket = []
-        if far:
-            # Entries at the new base join the active bucket; entries
-            # now inside the horizon spread into wheel slots.
-            while far and int(far[0][0] * _INV_GRANULARITY) <= target:
-                bucket.append(heappop(far))
-            horizon = target + WHEEL_SLOTS
-            wheel = self._wheel
-            while far and int(far[0][0] * _INV_GRANULARITY) < horizon:
-                entry = heappop(far)
-                slot = wheel[int(entry[0] * _INV_GRANULARITY) & _WHEEL_MASK]
-                if not slot:
-                    heappush(bheap, int(entry[0] * _INV_GRANULARITY))
-                slot.append(entry)
-        heapify(bucket)
-        self._active = bucket
+        heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
@@ -638,11 +546,10 @@ class Simulator:
         immediate = self._immediate
         if immediate:
             # Immediate entries sit at the current instant; only the
-            # active heap can hold an equal-or-earlier time, and equal
-            # times peek the same.
+            # heap can hold an equal-or-earlier time, and equal times
+            # peek the same.
             return immediate[0][0]
-        self._settle()
-        return self._active[0][0]
+        return self._heap[0][0]
 
     def _dispatch(self, event: Event) -> None:
         """Run one popped event's callbacks; recycle if possible."""
@@ -675,17 +582,11 @@ class Simulator:
         if not self._pending:
             raise SimulationError("step() on an empty schedule")
         immediate = self._immediate
-        active = self._active
-        if immediate:
-            if active and active[0] < immediate[0]:
-                when, _prio, _seq, event = heappop(active)
-            else:
-                when, _prio, _seq, event = immediate.popleft()
+        heap = self._heap
+        if immediate and not (heap and heap[0] < immediate[0]):
+            when, _prio, _seq, event = immediate.popleft()
         else:
-            if not active:
-                self._settle()
-                active = self._active
-            when, _prio, _seq, event = heappop(active)
+            when, _prio, _seq, event = heappop(heap)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._pending -= 1
@@ -698,12 +599,12 @@ class Simulator:
         The boundary is **inclusive**: an event scheduled exactly at
         ``until`` is processed before the run stops (only events
         strictly after ``until`` are left pending). This is pinned by
-        ``tests/sim/test_engine.py`` and must survive any internal
-        re-tiering of the schedule.
+        ``tests/sim/test_engine.py`` and must survive any change to the
+        schedule's layout.
 
-        This is the hot loop: it drains events inline (one settle +
-        pop + dispatch per event) rather than paying a :meth:`step`
-        call per event. ``step`` stays the single-event entry point
+        This is the hot loop: it drains events inline (one pop +
+        dispatch per event) rather than paying a :meth:`step` call per
+        event. ``step`` stays the single-event entry point
         for external steppers.
         """
         if until is not None and until < self._now:
@@ -711,24 +612,21 @@ class Simulator:
         timeout_pool = self._timeout_pool
         kick_pool = self._kick_pool
         immediate = self._immediate
+        heap = self._heap
         while self._pending:
-            active = self._active
             if immediate:
                 # Immediates carry the current instant, so they can
-                # never overshoot ``until``; only the active heap can
-                # hold an earlier key (e.g. a priority-0 interrupt).
-                if active and active[0] < immediate[0]:
-                    when, _prio, _seq, event = heappop(active)
+                # never overshoot ``until``; only the heap can hold an
+                # earlier key (e.g. a priority-0 interrupt).
+                if heap and heap[0] < immediate[0]:
+                    when, _prio, _seq, event = heappop(heap)
                 else:
                     when, _prio, _seq, event = immediate.popleft()
             else:
-                if not active:
-                    self._settle()
-                    active = self._active
-                if until is not None and active[0][0] > until:
+                if until is not None and heap[0][0] > until:
                     self._now = until
                     return
-                when, _prio, _seq, event = heappop(active)
+                when, _prio, _seq, event = heappop(heap)
             if when < self._now:
                 raise SimulationError("event scheduled in the past")
             self._pending -= 1

@@ -275,11 +275,6 @@ class Histogram:
         }
 
     # -- exemplars ---------------------------------------------------------
-    @property
-    def exemplar_bounds(self) -> List[float]:
-        """Upper bounds (``le``) of the exemplar buckets."""
-        return list(self._bounds)
-
     def bucket_index(self, value: float) -> int:
         """The exemplar bucket a value files under."""
         return bisect.bisect_left(self._bounds, value)

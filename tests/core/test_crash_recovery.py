@@ -62,7 +62,7 @@ def snoop_dispatches(cloud):
 def test_orphaned_invoke_is_redispatched_and_recovered():
     """Crash mid-compute: phi-accrual confirms the node, the orphan
     event interrupts the doomed attempt, and the platform re-dispatches
-    to a healthy node — all with ``max_attempts=1`` (recovery is owned
+    to a healthy node — all with ``retry=None`` (recovery is owned
     by the platform, not the user's retry budget)."""
     cloud = build_cloud(trace=True)
     fn = define(cloud, "batch", 5.2e10)   # ~2.2 s of compute

@@ -83,6 +83,17 @@ def test_invoke_default_body_reads_and_writes(cloud):
     assert payload.nbytes == 5_000
 
 
+def test_declarative_invoke_records_the_request_passed_in(cloud):
+    # The default body is bound to its FunctionDef; nothing internal
+    # rides along in the request the invocation records.
+    fn = cloud.define_function("plain", [wasm_impl()])
+    client = cloud.client_node()
+    request = {"k": 1}
+    run(cloud, cloud.invoke(client, fn, {}, request))
+    assert cloud.scheduler.last_invocation("plain").request == {"k": 1}
+    assert request == {"k": 1}
+
+
 def test_invoke_requires_execute_right(cloud):
     fn = cloud.define_function("f", [wasm_impl()])
     weak = fn.attenuate(Right.READ)

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import MB, cpu_task
 from repro.cluster.failures import FailureInjector
 from repro.core import Consistency, FunctionImpl, PCSICloud
+from repro.core.retry import RetryPolicy
 from repro.faas import WASM, ExecutorLostError
 from repro.net import SizedPayload
 from repro.sim import MS
@@ -151,7 +152,8 @@ def test_invocation_survives_executor_loss_with_retry(cloud):
         return None
 
     def invoker():
-        result = yield from cloud.invoke(client, fn, max_attempts=3)
+        result = yield from cloud.invoke(client, fn,
+                                         retry=RetryPolicy(max_attempts=3))
         outcome["result"] = result
         outcome["at"] = cloud.sim.now
 

@@ -11,6 +11,7 @@ from repro.core import (
     PCSICloud,
 )
 from repro.cluster.failures import FailureInjector
+from repro.core.retry import RetryPolicy
 from repro.faas import GPU_CONTAINER, WASM
 from repro.net import SizedPayload
 from repro.storage import QuorumUnavailableError
@@ -83,12 +84,8 @@ def make_failing_cloud():
 
 
 def test_retry_validation():
-    cloud = make_failing_cloud()
-    fn = cloud.define_function("f", [cheap_slow_impl(work=0)])
-    client = cloud.client_node()
-    with pytest.raises(ValueError):
-        cloud.run_process(cloud.scheduler.invoke(client, fn, {}, {},
-                                                 max_attempts=0))
+    with pytest.raises(ValueError, match="max_attempts"):
+        RetryPolicy(max_attempts=0)
 
 
 def test_invocation_retries_after_quorum_returns():
@@ -117,7 +114,8 @@ def test_invocation_retries_after_quorum_returns():
 
     def flow():
         result = yield from cloud.scheduler.invoke(
-            client, fn, {"data": data}, {}, max_attempts=50)
+            client, fn, {"data": data}, {},
+            retry=RetryPolicy(max_attempts=50))
         return result
 
     result = cloud.run_process(flow())
@@ -165,8 +163,8 @@ def test_application_errors_never_retried():
     client = cloud.client_node()
 
     def flow():
-        yield from cloud.scheduler.invoke(client, fn, {}, {},
-                                          max_attempts=5)
+        yield from cloud.scheduler.invoke(
+            client, fn, {}, {}, retry=RetryPolicy(max_attempts=5))
 
     with pytest.raises(KeyError):
         cloud.run_process(flow())

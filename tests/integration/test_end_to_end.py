@@ -10,6 +10,7 @@ from repro.core import (
     Mutability,
     PCSICloud,
 )
+from repro.core.retry import RetryPolicy
 from repro.crdt import ReplicatedCRDTService
 from repro.faas import WASM
 from repro.net import SizedPayload
@@ -156,7 +157,7 @@ def test_everything_together_with_failures():
             yield from cloud.invoke(client, fn,
                                     {"state": store_obj,
                                      "metrics": metrics_dev},
-                                    max_attempts=10)
+                                    retry=RetryPolicy(max_attempts=10))
             yield cloud.sim.timeout(0.3)
         # Drop a garbage object and collect.
         doomed = cloud.create_object()

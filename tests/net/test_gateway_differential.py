@@ -16,6 +16,7 @@ import pytest
 from repro.cluster.resources import cpu_task, server_node
 from repro.cluster.topology import build_cluster
 from repro.core.functions import FunctionImpl
+from repro.core.retry import RetryPolicy
 from repro.core.system import PCSICloud
 from repro.faas.platforms import WASM
 from repro.net.gateway import NoAdmission
@@ -118,7 +119,8 @@ def test_noadmission_passes_arguments_through():
 
     def flow():
         results.append((yield from cloud.gateway.submit(
-            client, fn, tenant="anyone", max_attempts=2)))
+            client, fn, tenant="anyone",
+            retry=RetryPolicy(max_attempts=2))))
 
     cloud.run_process(flow())
     assert len(results) == 1

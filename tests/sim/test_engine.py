@@ -229,6 +229,33 @@ def test_interrupt_wakes_sleeping_process():
     assert log == [(4.0, "preempt")]
 
 
+def test_interrupt_orders_ahead_of_same_instant_timed_work():
+    # An interrupt is a priority-0 schedule: it runs before a timer that
+    # was armed earlier for the same instant (lower seq, priority 1).
+    sim = Simulator()
+    log = []
+
+    def sleeper(sim):
+        try:
+            yield sim.timeout(100.0)
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+
+    def interrupter(sim, victim):
+        yield sim.timeout(1.0)
+        victim.interrupt()
+
+    def bystander(sim):
+        yield sim.timeout(1.0)
+        log.append(("bystander", sim.now))
+
+    victim = sim.spawn(sleeper(sim))
+    sim.spawn(interrupter(sim, victim))
+    sim.spawn(bystander(sim))
+    sim.run()
+    assert log == [("interrupted", 1.0), ("bystander", 1.0)]
+
+
 def test_interrupt_finished_process_rejected():
     sim = Simulator()
 
@@ -272,8 +299,8 @@ def test_run_until_stops_mid_simulation():
 def test_run_until_boundary_is_inclusive():
     # Pinned contract (see Simulator.run docstring): an event scheduled
     # exactly at ``until`` is processed; only strictly-later events are
-    # left pending. Must survive any internal re-tiering (immediate
-    # queue / timer wheel / far heap) of the schedule.
+    # left pending. Must hold whether the next event is an immediate
+    # or a timed heap entry.
     sim = Simulator()
     log = []
 
@@ -370,7 +397,7 @@ def test_timeout_at_fires_at_the_absolute_instant():
     assert fired == [when]
 
 
-def test_timeout_at_places_in_every_tier_in_time_order():
+def test_timeout_at_orders_short_and_long_sleeps_by_time():
     sim = Simulator()
     order = []
 
@@ -378,8 +405,8 @@ def test_timeout_at_places_in_every_tier_in_time_order():
         yield sim.timeout_at(when)
         order.append(sim.now)
 
-    # Current bucket, the wheel, beyond the wheel horizon (far heap),
-    # interleaved with relative timeouts.
+    # Sub-tick, sub-second and long sleeps, interleaved with a relative
+    # timeout.
     for when in (5.0, 0.2, 0.00001, 1e-3):
         sim.spawn(waiter(sim, when))
 

@@ -1,6 +1,6 @@
 """Differential tests: the fast engine against the pre-refactor engine.
 
-The tiered schedule (immediate deque / timer wheel / far heap) and the
+The two-store schedule (same-instant deque plus one heap) and the
 counting ``AllOf`` join are pure speed refactors — every observable
 ordering must match the pre-refactor engine. These tests replay a
 pinned random workload and require its event trace to hash to the
@@ -12,14 +12,15 @@ join's semantics directly.
 import hashlib
 
 from repro.sim import Simulator
-from repro.sim.engine import WHEEL_GRANULARITY, WHEEL_SLOTS
 from repro.sim.rng import RandomStream
 
-#: Delay menu spanning every storage tier: zero-delay immediates, the
-#: wheel's first/last buckets, far-heap horizons that force wheel
-#: re-tiering as the clock advances, and a few shared wheel ticks so
-#: that timers started together tie on time and order by seq alone.
-_HORIZON = WHEEL_GRANULARITY * WHEEL_SLOTS
+#: Delay menu: zero-delay immediates, sub-tick and sub-second sleeps,
+#: sleeps just past and far beyond ~0.4 s, and multiples of a shared
+#: 100 µs tick so that timers started together tie on time and order
+#: by seq alone. The tick and the ~0.4 s span are fixed literals: the
+#: pinned digests below were taken with exactly this menu.
+_TICK = 1e-4
+_SPAN = _TICK * 4096
 
 #: sha256 of ``repr`` of each workload's trace on the pre-refactor
 #: engine.
@@ -35,19 +36,19 @@ def _sha256(trace):
 
 def _pinned_delays(count):
     rng = RandomStream(2026, "engine-differential")
-    tiers = (
+    kinds = (
         lambda: 0.0,                                  # immediate
-        lambda: rng.uniform(0.0, WHEEL_GRANULARITY),  # first bucket
-        lambda: rng.uniform(0.0, _HORIZON),           # anywhere in wheel
-        lambda: _HORIZON + rng.uniform(0.0, 5.0),     # just past horizon
-        lambda: rng.uniform(50.0, 500.0),             # deep far heap
-        lambda: WHEEL_GRANULARITY * int(rng.uniform(1, 8)),  # shared ticks
+        lambda: rng.uniform(0.0, _TICK),              # sub-tick sleep
+        lambda: rng.uniform(0.0, _SPAN),              # sub-second sleep
+        lambda: _SPAN + rng.uniform(0.0, 5.0),        # just past ~0.4 s
+        lambda: rng.uniform(50.0, 500.0),             # long sleep
+        lambda: _TICK * int(rng.uniform(1, 8)),       # shared-tick ties
     )
-    return [tiers[int(rng.uniform(0, len(tiers)))]() for _ in range(count)]
+    return [kinds[int(rng.uniform(0, len(kinds)))]() for _ in range(count)]
 
 
 def _workload(delays):
-    """Run a mixed-tier workload; return the observable event trace."""
+    """Run a mixed-delay workload; return the observable event trace."""
     sim = Simulator()
     log = []
 
@@ -89,9 +90,9 @@ def test_fast_engine_matches_pinned_ordering_under_run_until():
 
         for i in range(3):
             sim.spawn(proc(f"p{i}", delays[i::3]))
-        # Stop inside the wheel horizon, then drain: re-tiering across
-        # the boundary must not reorder anything.
-        sim.run(until=_HORIZON / 2)
+        # Stop mid-run with short and long sleeps still pending, then
+        # drain: resuming across the boundary must not reorder anything.
+        sim.run(until=_SPAN / 2)
         log.append(("cut", repr(sim.now)))
         sim.run()
         return log, repr(sim.now)
