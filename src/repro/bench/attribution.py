@@ -55,7 +55,6 @@ COMPONENT_OF: Dict[str, str] = {
     "sandbox.provision": "coldstart",
     "warmpool.prewarm": "coldstart",
     "queue.wait": "queueing",
-    "warmpool.acquire": "queueing",
     "retry.backoff": "queueing",
     "net.transfer": "transfer",
     "net.local_copy": "transfer",

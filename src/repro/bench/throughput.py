@@ -14,9 +14,10 @@ a CI bar — runners disagree by integer factors. So :func:`run_benchmarks`
 also times the repo's calibration kernel (``perfbench/reference.py``, a
 fixed pure-Python event loop that shares no code with the program)
 around every hot-loop repeat, and reports ``hot_loop_events_per_kernel``:
-the best hot-loop events/sec times the fastest kernel run, i.e. the
-hot-loop events processed in the time one kernel run takes. Host speed
-largely cancels out of the product. The regress gate
+each repeat's events/sec times the mean of the kernel runs just before
+and after it, i.e. the hot-loop events processed in the time one kernel
+run takes, as the median over the repeats. Host speed largely cancels
+out of each product. The regress gate
 (``python -m repro.bench.regress --only throughput``) requires
 
 * ``hot_loop_events_per_kernel >= min_hot_loop_events_per_kernel``
@@ -57,7 +58,7 @@ fingerprints pin the exact backend's byte-identical summaries.
 Usage::
 
     python -m repro.bench.throughput            # print JSON report
-    python -m repro.bench.throughput --repeat 3 # best-of-3 timing
+    python -m repro.bench.throughput --repeat 5 # median of 5 repeats
     python -m repro.bench.throughput --serial   # serial invoke loop
     python -m repro.bench.throughput --histogram-backend sketch
 """
@@ -71,7 +72,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..cluster.resources import cpu_task
 from ..core.functions import FunctionImpl
@@ -407,9 +408,14 @@ def _calibration_timer() -> Callable[[], float]:
 def run_benchmarks(repeat: int = 2, serial: bool = False) -> Dict[str, Any]:
     """Run the hot loop and the invoke bench, calibrated to this host.
 
-    Each timing repeats ``repeat`` times and keeps the fastest run. The
-    calibration kernel runs twice before and twice after every hot-loop
-    repeat and once more at the end; its fastest run is ``kernel_s``.
+    The calibration kernel runs twice just before and twice just after
+    every hot-loop repeat; the mean of those four runs is the host
+    speed at that repeat, and the repeat's events/sec times it is the
+    repeat's ``hot_loop_events_per_kernel``. The median repeat (the
+    upper middle one for an even ``repeat``) is reported, with its
+    kernel mean as ``kernel_s``: pairing each repeat with the kernel
+    runs around it keeps host drift between the two out of the
+    product. The invoke bench keeps its fastest of ``repeat`` runs.
     Fingerprints must agree across repeats; disagreement means the
     workload is nondeterministic and is reported as an error.
     """
@@ -417,15 +423,15 @@ def run_benchmarks(repeat: int = 2, serial: bool = False) -> Dict[str, Any]:
         raise ValueError("repeat must be >= 1")
     measure_kernel = _calibration_timer()
     plan = _HotLoopPlan()
-    kernel_times: List[float] = []
-    hot_runs: List[Dict[str, Any]] = []
+    paired: List[Tuple[float, float, Dict[str, Any]]] = []
     for _ in range(repeat):
-        kernel_times += (measure_kernel(), measure_kernel())
-        hot_runs.append(run_hot_loop_bench(plan))
-        kernel_times += (measure_kernel(), measure_kernel())
+        kernel = measure_kernel() + measure_kernel()
+        hot = run_hot_loop_bench(plan)
+        kernel_s = (kernel + measure_kernel() + measure_kernel()) / 4
+        paired.append((hot["events_per_sec"] * kernel_s, kernel_s, hot))
     invoke_runs = [run_invoke_bench(serial=serial) for _ in range(repeat)]
-    kernel_times.append(measure_kernel())
 
+    hot_runs = [hot for _product, _kernel_s, hot in paired]
     for label, runs in (("hot-loop", hot_runs), ("invoke", invoke_runs)):
         prints = {r["fingerprint"] for r in runs}
         if len(prints) != 1:
@@ -433,14 +439,14 @@ def run_benchmarks(repeat: int = 2, serial: bool = False) -> Dict[str, Any]:
                 f"{label} fingerprints diverged across repeats: "
                 f"{sorted(prints)} — the workload is nondeterministic")
 
-    engine = max(hot_runs, key=lambda r: r["events_per_sec"])
+    paired.sort(key=lambda p: p[0])
+    product, kernel_s, engine = paired[len(paired) // 2]
     invoke = max(invoke_runs, key=lambda r: r["invokes_per_sec"])
-    kernel_s = min(kernel_times)
     return {
         "engine": engine,
         "invoke": invoke,
         "kernel_s": kernel_s,
-        "hot_loop_events_per_kernel": engine["events_per_sec"] * kernel_s,
+        "hot_loop_events_per_kernel": product,
         "repeat": repeat,
     }
 
@@ -478,7 +484,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point: print the benchmark report as JSON."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=2,
-                        help="timing repeats; fastest wins (default 2)")
+                        help="timing repeats; the hot loop reports "
+                             "its median, the invoke bench its fastest "
+                             "(default 2)")
     parser.add_argument("--serial", action="store_true",
                         help="time the serial invoke() loop instead "
                              "of invoke_many")

@@ -260,98 +260,86 @@ class Network:
         raise (fail-fast) or block until the partition heals / node
         recovers (location-transparent).
 
-        With tracing enabled, the transfer is a span parented to
-        whichever span issued it (the invoke/storage op in whose
-        context this generator runs); disabled tracing takes a
-        zero-overhead fast path.
+        The transfer is a span parented to whichever span issued it
+        (the invoke/storage op in whose context this generator runs).
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        tracer = self.tracer
-        if not tracer.enabled:
-            delay = yield from self._transfer(src, dst, nbytes, fail_fast,
-                                              purpose)
-            return delay
         if src != dst:
-            span_cm = tracer.span("net.transfer", src=src, dst=dst,
-                                  nbytes=nbytes, purpose=purpose)
+            span = self.tracer.span("net.transfer", src=src, dst=dst,
+                                    nbytes=nbytes, purpose=purpose)
         else:
-            span_cm = tracer.span("net.local_copy", node=src, nbytes=nbytes,
-                                  purpose=purpose)
-        with span_cm:
-            delay = yield from self._transfer(src, dst, nbytes, fail_fast,
-                                              purpose)
-        return delay
-
-    def _transfer(self, src: str, dst: str, nbytes: int, fail_fast: bool,
-                  purpose: str) -> Generator:
-        deadline = check_deadline(self.sim, f"transfer {src}->{dst}")
-        waited = yield from self._await_reachable(src, dst, fail_fast)
-        if self._loss_prob and src != dst and purpose != "message":
-            # Reliable transport over a lossy link: each loss costs one
-            # retransmission timeout before the payload gets through.
-            # (Fire-and-forget "message" sends are dropped at the
-            # datagram layer in send() instead.)
-            while self._loss_rng.bernoulli(self._loss_prob):
-                self.metrics.counter("network.retransmits",
-                                     purpose=purpose).add(1)
-                if deadline is not None and deadline.expired(self.sim.now):
-                    raise DeadlineExceededError(
-                        f"transfer {src}->{dst}: deadline expired during "
-                        f"retransmission", deadline)
-                yield self.sim.timeout(self._loss_rto)
-        start = self.sim.now
-        inflight = self.metrics.gauge("network.inflight")
-        inflight.add(1, start)
-        try:
-            if src != dst and nbytes > 0:
-                # Serialize onto the sender's NIC: the link is occupied
-                # for the wire time (queueing behind concurrent
-                # senders), then the propagation/processing parts are
-                # paid without it. A free link is taken synchronously
-                # and frees itself at the stamped wire end, so an
-                # uncontended transfer is one timeout at
-                # ``(now + wire) + prop``. Keep that grouping: it is the
-                # float arithmetic of a wire timeout followed by a
-                # propagation timeout, so arrival times match that
-                # model bit for bit.
-                link = self._egress_link(src)
-                grant = link.claim(self.profile.wire_time(nbytes))
-                if grant is not None:
+            span = self.tracer.span("net.local_copy", node=src,
+                                    nbytes=nbytes, purpose=purpose)
+        with span:
+            deadline = check_deadline(self.sim, f"transfer {src}->{dst}")
+            waited = yield from self._await_reachable(src, dst, fail_fast)
+            if self._loss_prob and src != dst and purpose != "message":
+                # Reliable transport over a lossy link: each loss costs one
+                # retransmission timeout before the payload gets through.
+                # (Fire-and-forget "message" sends are dropped at the
+                # datagram layer in send() instead.)
+                while self._loss_rng.bernoulli(self._loss_prob):
+                    self.metrics.counter("network.retransmits",
+                                         purpose=purpose).add(1)
+                    if deadline is not None and deadline.expired(self.sim.now):
+                        raise DeadlineExceededError(
+                            f"transfer {src}->{dst}: deadline expired during "
+                            f"retransmission", deadline)
+                    yield self.sim.timeout(self._loss_rto)
+            start = self.sim.now
+            inflight = self.metrics.gauge("network.inflight")
+            inflight.add(1, start)
+            try:
+                if src != dst and nbytes > 0:
+                    # Serialize onto the sender's NIC: the link is occupied
+                    # for the wire time (queueing behind concurrent
+                    # senders), then the propagation/processing parts are
+                    # paid without it. A free link is taken synchronously
+                    # and frees itself at the stamped wire end, so an
+                    # uncontended transfer is one timeout at
+                    # ``(now + wire) + prop``. Keep that grouping: it is the
+                    # float arithmetic of a wire timeout followed by a
+                    # propagation timeout, so arrival times match that
+                    # model bit for bit.
+                    link = self._egress_link(src)
+                    grant = link.claim(self.profile.wire_time(nbytes))
+                    if grant is not None:
+                        try:
+                            yield grant
+                        except BaseException:
+                            # Interrupted (hedge loss, deadline) while
+                            # queued, or granted but not yet resumed: give
+                            # the link back so it is not stranded on a
+                            # dead waiter.
+                            link.cancel(grant)
+                            raise
+                    wire_end = link.free_at
                     try:
-                        yield grant
+                        yield self.sim.timeout_at(wire_end + (
+                            self.profile.socket_overhead
+                            + self.profile.one_way(
+                                same_rack=self.topology.same_rack(src, dst))))
                     except BaseException:
-                        # Interrupted (hedge loss, deadline) while
-                        # queued, or granted but not yet resumed: give
-                        # the link back so it is not stranded on a
-                        # dead waiter.
-                        link.cancel(grant)
+                        # Interrupted mid-wire: the link frees now, not at
+                        # ``wire_end``. Mid-propagation it is already free.
+                        link.release(wire_end)
                         raise
-                wire_end = link.free_at
-                try:
-                    yield self.sim.timeout_at(wire_end + (
-                        self.profile.socket_overhead
-                        + self.profile.one_way(
-                            same_rack=self.topology.same_rack(src, dst))))
-                except BaseException:
-                    # Interrupted mid-wire: the link frees now, not at
-                    # ``wire_end``. Mid-propagation it is already free.
-                    link.release(wire_end)
-                    raise
+                else:
+                    yield self.sim.timeout(
+                        self.one_way_delay(src, dst, nbytes))
+            finally:
+                inflight.add(-1, self.sim.now)
+            delay = self.sim.now - start
+            # Labeled children roll up into the bare-name aggregates, so
+            # readers of "network.bytes" see the total over all purposes.
+            if src != dst:
+                self.metrics.counter("network.bytes",
+                                     purpose=purpose).add(nbytes)
             else:
-                yield self.sim.timeout(self.one_way_delay(src, dst, nbytes))
-        finally:
-            inflight.add(-1, self.sim.now)
-        delay = self.sim.now - start
-        # Labeled children roll up into the bare-name aggregates, so
-        # readers of "network.bytes" see the total over all purposes.
-        if src != dst:
-            self.metrics.counter("network.bytes",
-                                 purpose=purpose).add(nbytes)
-        else:
-            self.metrics.counter("network.local_bytes",
-                                 purpose=purpose).add(nbytes)
-        return delay + waited
+                self.metrics.counter("network.local_bytes",
+                                     purpose=purpose).add(nbytes)
+            return delay + waited
 
     def round_trip(self, src: str, dst: str, request_nbytes: int,
                    response_nbytes: int, fail_fast: bool = True,

@@ -262,11 +262,10 @@ class FunctionScheduler:
         kernel = self.kernel
         tracer = kernel.tracer
         health = kernel.health
-        with tracer.span("dispatch", control=self.control_node):
-            # Tell the control plane, which queues the invocation.
-            yield from kernel.network.round_trip(
-                client_node, self.control_node, DISPATCH_MSG_BYTES,
-                DISPATCH_MSG_BYTES, purpose="dispatch")
+        # Tell the control plane, which queues the invocation.
+        yield from kernel.network.round_trip(
+            client_node, self.control_node, DISPATCH_MSG_BYTES,
+            DISPATCH_MSG_BYTES, purpose="dispatch")
         chain = self._run_hedged if policy.hedge_delay is not None \
             else self._retry_loop
         idem_key = health.idempotency_key(fn_def.name)
@@ -357,7 +356,8 @@ class FunctionScheduler:
         while True:
             attempt += 1
             try:
-                with tracer.span("attempt", n=attempt):
+                with tracer.span("attempt", n=attempt,
+                                 preferred=preferred_node):
                     inv = yield from self._attempt(
                         client_node, fn_ref, fn_def, args, request,
                         preferred_node, impl_name, root,
@@ -506,17 +506,13 @@ class FunctionScheduler:
         sim = kernel.sim
         tracer = kernel.tracer
         health = kernel.health
-        with tracer.span("placement", fn=fn_def.name,
-                         preferred=preferred_node) as psp:
-            if impl_name is not None:
-                impl = fn_def.impl_named(impl_name)
-            else:
-                impl = self.optimizer.choose(fn_def,
-                                             self.pools_by_impl(fn_def))
-            pool = self.pool_for(fn_def, impl)
-            psp.set(impl=impl.name)
-            kernel.metrics.counter("scheduler.placement", fn=fn_def.name,
-                                   impl=impl.name).add(1)
+        if impl_name is not None:
+            impl = fn_def.impl_named(impl_name)
+        else:
+            impl = self.optimizer.choose(fn_def, self.pools_by_impl(fn_def))
+        pool = self.pool_for(fn_def, impl)
+        kernel.metrics.counter("scheduler.placement", fn=fn_def.name,
+                               impl=impl.name).add(1)
 
         inv = Invocation(fn_name=fn_def.name, impl_name=impl.name,
                          args=dict(args), request=dict(request),

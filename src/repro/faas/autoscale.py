@@ -9,7 +9,8 @@ property experiment E13 contrasts with provisioned fleets.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from collections import deque
+from typing import Callable, Deque, Generator, List, Optional
 
 from ..cluster.node import Node
 from ..cluster.resources import ResourceVector
@@ -57,7 +58,7 @@ class WarmPool:
             else LabeledMetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._executors: List[Executor] = []
-        self._waiters: List = []
+        self._waiters: Deque = deque()
         self._provisioning = 0
         self.cold_starts = 0
         self.warm_hits = 0
@@ -111,7 +112,7 @@ class WarmPool:
     @property
     def size(self) -> int:
         """Live executors (busy + idle)."""
-        return sum(1 for e in self._executors if e.live)
+        return len(self._executors)
 
     @property
     def provisioning(self) -> int:
@@ -121,7 +122,7 @@ class WarmPool:
     @property
     def busy_count(self) -> int:
         """Live executors currently claimed by an invocation."""
-        return sum(1 for e in self._executors if e.live and e.busy)
+        return sum(1 for e in self._executors if e.busy)
 
     @property
     def waiting(self) -> int:
@@ -133,7 +134,7 @@ class WarmPool:
         """Warm executors available right now (on live nodes only —
         sandboxes stranded on crashed machines are never handed out)."""
         return [e for e in self._executors
-                if e.live and not e.busy and e.node.alive]
+                if not e.busy and e.node.alive]
 
     # -- acquisition -------------------------------------------------------
     def acquire(self, preferred_node: Optional[str] = None) -> Generator:
@@ -148,18 +149,6 @@ class WarmPool:
         Only a pool that can never grow (no executor live or coming)
         raises :class:`PlacementFailedError`.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            executor = yield from self._acquire(preferred_node, None)
-            return executor
-        with tracer.span("warmpool.acquire", pool=self.name,
-                         preferred=preferred_node) as span:
-            executor = yield from self._acquire(preferred_node, span)
-            span.set(node=executor.node.node_id)
-        return executor
-
-    def _acquire(self, preferred_node: Optional[str],
-                 span) -> Generator:
         tracer = self.tracer
         if self.controller is not None:
             self.controller.notify_activity()
@@ -181,8 +170,6 @@ class WarmPool:
                 executor.mark_busy()
                 self.warm_hits += 1
                 self._count("acquire", outcome="warm")
-                if span is not None:
-                    span.set(outcome="warm")
                 return executor
 
             capped = (self.max_executors is not None
@@ -197,10 +184,7 @@ class WarmPool:
                     self._provisioning += 1
                     self._track_size()
                     try:
-                        with tracer.span("coldstart", pool=self.name,
-                                         node=node.node_id,
-                                         platform=self.platform.name):
-                            yield from executor.provision()
+                        yield from executor.provision()
                     finally:
                         self._provisioning -= 1
                         self._track_size()
@@ -209,12 +193,9 @@ class WarmPool:
                     self.cold_starts += 1
                     self._track_size()
                     self._count("acquire", outcome="cold")
-                    if span is not None:
-                        span.set(outcome="cold")
                     return executor
 
-            if self._provisioning == 0 \
-                    and not any(e.live for e in self._executors):
+            if self._provisioning == 0 and not self._executors:
                 raise PlacementFailedError(
                     f"no node can host {self.name} "
                     f"({self.resources.describe()}, {self.platform.name}) "
@@ -222,7 +203,7 @@ class WarmPool:
             # Starved: wait for a release, then retry.
             waiter = self.sim.event(name=f"starved:{self.name}")
             if requeue_front:
-                self._waiters.insert(0, waiter)
+                self._waiters.appendleft(waiter)
             else:
                 self._waiters.append(waiter)
             self.queue_waits += 1
@@ -245,8 +226,6 @@ class WarmPool:
                     and executor.node.alive:
                 self.warm_hits += 1
                 self._count("acquire", outcome="queued")
-                if span is not None:
-                    span.set(outcome="queued")
                 return executor
             # The reservation went stale (the node died between the
             # hand-off and our wake-up): return the sandbox to the
@@ -279,7 +258,7 @@ class WarmPool:
         """
         if executor.node.alive:
             while self._waiters:
-                waiter = self._waiters.pop(0)
+                waiter = self._waiters.popleft()
                 self._track_queue_depth()
                 if not waiter.triggered:
                     executor.mark_busy()

@@ -33,6 +33,7 @@ lines) turn a run's telemetry into a build artifact.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 from .metrics import Counter, Histogram, TimeWeightedGauge
@@ -173,7 +174,7 @@ class LabeledMetricsRegistry:
     def _family(self, name: str, kind: str, factory) -> _Family:
         family = self._families.get(name)
         if family is None:
-            family = _Family(name, kind, factory(name, None))
+            family = _Family(name, kind, factory(name, aggregate=None))
             self._families[name] = family
         elif family.kind != kind:
             raise TypeError(
@@ -192,23 +193,24 @@ class LabeledMetricsRegistry:
                 child = family.children.get(key)
                 if child is None:
                     child = factory(format_instrument(family.name, key),
-                                    family.aggregate)
+                                    aggregate=family.aggregate)
                     family.children[key] = child
                 return child
             child = factory(format_instrument(family.name, key),
-                            family.aggregate)
+                            aggregate=family.aggregate)
             family.children[key] = child
         return child
 
-    def _instrument(self, kind: str, name: str, labels: Dict[str, Any],
-                    factory) -> Any:
+    def _instrument(self, kind: str, name: str,
+                    labels: Dict[str, Any]) -> Any:
         """The ``kind`` instrument for ``name`` and ``labels``: the one
         memoized lookup behind :meth:`counter`, :meth:`histogram` and
         :meth:`gauge`.
 
         A call whose label values are unhashable skips the memo and
         resolves on the slow path every time. The overflow catch-all is
-        never memoized: its every lookup must count a drop.
+        never memoized: its every lookup must count a drop. The
+        constructor is chosen only on a memo miss.
         """
         cache_key = (kind, name, *labels.items())
         try:
@@ -218,6 +220,13 @@ class LabeledMetricsRegistry:
             cache_key = None
         if child is not None:
             return child
+        if kind == "counter":
+            factory = LabeledCounter
+        elif kind == "gauge":
+            factory = LabeledGauge
+        else:
+            backend = self._hist_backends.get(name, self.histogram_backend)
+            factory = partial(LabeledHistogram, backend=backend)
         family = self._family(name, kind, factory)
         child = self._child(family, labels, factory)
         if cache_key is not None and (
@@ -228,7 +237,7 @@ class LabeledMetricsRegistry:
     # -- instruments ------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
         """Get or create a counter (the family aggregate if unlabeled)."""
-        return self._instrument("counter", name, labels, LabeledCounter)
+        return self._instrument("counter", name, labels)
 
     def set_histogram_backend(self, name: str, backend: str) -> None:
         """Pick the backend for one histogram family, before first use.
@@ -245,14 +254,9 @@ class LabeledMetricsRegistry:
                 f"must be chosen before the first observation")
         self._hist_backends[name] = backend
 
-    def _histogram_factory(self, name: str):
-        backend = self._hist_backends.get(name, self.histogram_backend)
-        return lambda n, agg: LabeledHistogram(n, agg, backend=backend)
-
     def histogram(self, name: str, **labels: Any) -> Histogram:
         """Get or create a histogram (the family aggregate if unlabeled)."""
-        return self._instrument("histogram", name, labels,
-                                self._histogram_factory(name))
+        return self._instrument("histogram", name, labels)
 
     def merged_sketch(self, name: str,
                       **labels: Any) -> Optional[QuantileSketch]:
@@ -302,9 +306,7 @@ class LabeledMetricsRegistry:
         The aggregate of a labeled gauge family tracks the *sum* of its
         children's levels.
         """
-        return self._instrument(
-            "gauge", name, labels,
-            lambda n, agg: LabeledGauge(n, aggregate=agg))
+        return self._instrument("gauge", name, labels)
 
     # -- snapshots ---------------------------------------------------------
     def counters(self) -> Dict[str, float]:

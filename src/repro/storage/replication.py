@@ -126,11 +126,10 @@ class ReplicatedStore:
         span tree of the request that produced it.
         """
         tracer = self.network.tracer
-        exemplar = tracer.exemplar_root_id(tracer.current_span) \
-            if tracer.enabled else None
         self.metrics.histogram("storage.op_latency", store=self.name,
                                op=op, consistency=consistency) \
-            .observe(self.sim.now - start, exemplar=exemplar)
+            .observe(self.sim.now - start,
+                     exemplar=tracer.exemplar_root_id(tracer.current_span))
 
     def _fanout(self, op: str, n: int) -> None:
         """Replicas contacted by one quorum phase."""
