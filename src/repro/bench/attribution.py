@@ -51,7 +51,6 @@ COMPONENTS: Tuple[str, ...] = ("coldstart", "queueing", "transfer",
 #: "other" (control-plane bookkeeping, storage media time, etc.), so a
 #: new span can never silently vanish from a vector.
 COMPONENT_OF: Dict[str, str] = {
-    "coldstart": "coldstart",
     "sandbox.provision": "coldstart",
     "warmpool.prewarm": "coldstart",
     "queue.wait": "queueing",

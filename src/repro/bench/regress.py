@@ -258,7 +258,6 @@ CFG = ModelServingConfig(upload_nbytes=4 * MB, weights_nbytes=64 * MB)
 #: Span name -> layer. Unknown names fall into "other" so a new span
 #: can never silently vanish from the gate.
 LAYERS: Dict[str, str] = {
-    "coldstart": "coldstart",
     "sandbox.provision": "coldstart",
     "net.transfer": "network",
     "net.local_copy": "network",

@@ -116,6 +116,8 @@ class PCSICloud:
         self.rng = RandomStream(seed, "pcsi")
         self.tracer = Tracer(enabled=trace, sampler=sampler).bind(self.sim)
         self.metrics = LabeledMetricsRegistry()
+        # Trees an exemplar links to outlive the tracer's window.
+        self.tracer.link_exemplars(self.metrics.exemplar_ids)
         self.topology = topology if topology is not None else build_cluster(
             self.sim, racks=racks, nodes_per_rack=nodes_per_rack,
             gpu_nodes_per_rack=gpu_nodes_per_rack)

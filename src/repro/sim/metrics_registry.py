@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import (Any, Dict, Generator, Iterator, List, Optional, Set,
+                    Tuple)
 
 from .metrics import Counter, Histogram, TimeWeightedGauge
 from .sketch import QuantileSketch
@@ -363,6 +364,19 @@ class LabeledMetricsRegistry:
                 if buckets:
                     out[format_instrument(name, key)] = buckets
         return out
+
+    def exemplar_ids(self) -> Set[Any]:
+        """Every trace id some histogram's exemplar reservoir holds (the
+        trees a tracer must keep openable; see
+        :meth:`~repro.sim.trace.Tracer.link_exemplars`)."""
+        ids: Set[Any] = set()
+        for family in self._families.values():
+            if family.kind != "histogram":
+                continue
+            for inst in (family.aggregate, *family.children.values()):
+                for pairs in inst.exemplars().values():
+                    ids.update(trace_id for _v, trace_id in pairs)
+        return ids
 
     def gauges(self, now: float) -> Dict[str, Dict[str, float]]:
         """All gauge levels / time-weighted means / peaks as of ``now``."""

@@ -18,6 +18,14 @@ Each span is stored in one place: the tracer's id-keyed span dict
 (start order) plus its parent's child list. Every query
 (``spans(name=, category=)``, ``roots()``, ``children()``, ``walk()``)
 reads that store, and dropping a finished tree is O(tree).
+
+The store is bounded: root listeners consume each retained tree when
+its root ends, so the tracer keeps only the open trees, the last
+:data:`RETAIN_WINDOW` to ``2 * RETAIN_WINDOW`` finished retained trees
+(finish order), and any finished tree a histogram exemplar links to
+(see :meth:`Tracer.link_exemplars`). Older finished trees are dropped
+in batches of one window.
+
 ``record(time, category, **payload)`` is an *instant* span (start =
 end = ``time``, no parent) for callers outside the kernel; no kernel
 code calls it (a kernel fact that is not a span is a metric).
@@ -47,7 +55,8 @@ import json
 from collections import deque
 from sys import getrefcount
 from sys import intern as _intern
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (Any, Callable, Collection, Dict, Iterable, Iterator,
+                    List, Optional)
 
 from .rng import RandomStream
 
@@ -73,6 +82,11 @@ _ORPHAN = "orphan"
 #: Bound on the discarded-span freelist (beyond this, dropped spans are
 #: left to the garbage collector).
 _SPAN_POOL_LIMIT = 4096
+
+#: Finished retained trees kept after their root listeners ran: once
+#: ``2 * RETAIN_WINDOW`` are held, the oldest ``RETAIN_WINDOW`` are
+#: discarded in one batch (exemplar-linked trees excepted).
+RETAIN_WINDOW = 256
 
 
 class Span:
@@ -412,6 +426,14 @@ class Tracer:
         #: Callbacks fired once per *retained* finished root span (see
         #: :meth:`add_root_listener`).
         self._root_listeners: List[Callable[[Span], None]] = []
+        #: Finished retained roots, oldest first (see :meth:`_retain`).
+        self._finished: "deque[Span]" = deque()
+        #: Finished roots a trim skipped because an exemplar links them;
+        #: each trim checks them again.
+        self._linked: List[Span] = []
+        #: Source of the root ids a trim must keep (see
+        #: :meth:`link_exemplars`); the default keeps none.
+        self._linked_ids: Callable[[], Collection[int]] = frozenset
 
     # -- wiring ---------------------------------------------------------
     def bind(self, sim) -> "Tracer":
@@ -429,22 +451,61 @@ class Tracer:
         head-sampled away or deferred-then-clean — never fire, so a
         listener only ever sees trees whose spans are fully recorded.
         Listeners must not open spans or advance the simulation; they
-        are observers, not participants.
+        are observers, not participants. After the listeners ran, the
+        tree stays queryable only while it is in the retention window
+        (:data:`RETAIN_WINDOW`) or an exemplar links it.
         """
         self._root_listeners.append(callback)
         return self
 
-    def _notify_root(self, root: Span) -> None:
+    def link_exemplars(self,
+                       exemplar_ids: Callable[[], Collection[int]]
+                       ) -> "Tracer":
+        """Keep the finished trees whose root ids ``exemplar_ids()``
+        returns (a metrics registry's ``exemplar_ids``) past the
+        retention window, so an exemplar link stays openable.
+
+        The source is read once per trim; a tree whose id has left it
+        is dropped at the next trim.
+        """
+        self._linked_ids = exemplar_ids
+        return self
+
+    def _retain(self, root: Span) -> None:
+        """Hand a retained finished root to the listeners, then keep it
+        in the finish-ordered window, trimming the window when full."""
         for callback in self._root_listeners:
             callback(root)
+        finished = self._finished
+        finished.append(root)
+        if len(finished) >= 2 * RETAIN_WINDOW:
+            self._trim()
+
+    def _trim(self) -> None:
+        """Discard the oldest window of finished trees, keeping those an
+        exemplar links (checked again at the next trim)."""
+        finished = self._finished
+        linked_ids = self._linked_ids()
+        oldest = [finished.popleft() for _ in range(RETAIN_WINDOW)]
+        linked = []
+        for root in itertools.chain(self._linked, oldest):
+            if root.span_id in linked_ids:
+                linked.append(root)
+            else:
+                self._discard_tree(root)
+        self._linked = linked
 
     def exemplar_root_id(self, span) -> Optional[int]:
         """The trace root id a metrics exemplar may reference, or None.
 
         None for :data:`NULL_SPAN` / disabled tracing (nothing to point
-        at) and for roots still in :data:`DEFER` limbo — their tree may
-        yet be discarded, and an exemplar must never dangle. Kept
-        error-tail trees and normally sampled roots qualify.
+        at), for roots still in :data:`DEFER` limbo — their tree may yet
+        be discarded, and an exemplar must never dangle — and for spans
+        whose tree was already discarded (a straggler of a trimmed or
+        dropped tree). Kept error-tail trees and normally sampled roots
+        qualify; once a returned id is filed in a reservoir the tracer
+        links (:meth:`link_exemplars`), the retention window keeps its
+        tree while the reservoir holds it.
         """
         if not self.enabled or span is None or span is NULL_SPAN:
             return None
@@ -617,9 +678,9 @@ class Tracer:
                 # Straggler of an already-dropped tree.
                 self._spans_by_id.pop(span.span_id, None)
                 return span
-        if span.parent_id is None and self._root_listeners \
+        if span.parent_id is None \
                 and self._spans_by_id.get(span.span_id) is span:
-            self._notify_root(span)
+            self._retain(span)
         return span
 
     def _resolve_deferred(self, root: Span) -> None:
@@ -627,7 +688,8 @@ class Tracer:
         if any(s.status == STATUS_ERROR for s in self.walk(root)):
             root.sampling = "error_tail"
             self.deferred_kept += 1
-            self._notify_root(root)
+            if self._spans_by_id.get(root.span_id) is root:
+                self._retain(root)
         else:
             self.deferred_dropped += 1
             self._discard_tree(root)
@@ -642,17 +704,20 @@ class Tracer:
         still-open child's context entry) stays out of the pool, so a
         held span can never be observed mutating into a new one.
         """
-        doomed = list(self.walk(root))
         spans_by_id = self._spans_by_id
         pool = self._span_pool
-        for node in doomed:
+        stack = [root]
+        while stack:
+            node = stack.pop()
             spans_by_id.pop(node.span_id, None)
-            # Unlink the tree: matches the old ``_children`` index being
-            # dropped (children() of a discarded span reports none), and
-            # lets each span's liveness be judged independently at
+            # Unlink the tree: children() of a discarded span reports
+            # none, and each span's liveness is judged independently at
             # checkout. Attribute payloads stay — a caller still holding
             # a discarded span sees its data unchanged.
-            node._kids = None
+            kids = node._kids
+            if kids is not None:
+                stack.extend(kids)
+                node._kids = None
             # A straggler still open ends without recording, and a span
             # opened later under any discarded span (an explicit
             # ``parent=`` included) inherits the mark. Live spans never
@@ -724,13 +789,16 @@ class Tracer:
                                       time), time)
 
     def clear(self) -> None:
-        """Drop all spans.
+        """Drop all spans and empty the retention window.
 
+        A root still open at the clear is not retained when it ends.
         Cleared spans are *not* pooled: callers may hold references to
         them (clearing between experiment phases while keeping a few
         roots for inspection is normal usage).
         """
         self._spans_by_id.clear()
+        self._finished.clear()
+        self._linked = []
 
     # -- export -----------------------------------------------------------
     def to_chrome_trace(self) -> Dict[str, Any]:

@@ -43,7 +43,7 @@ def rig():
 # -- folding -------------------------------------------------------------
 
 def test_component_mapping_covers_unknowns():
-    assert component_of("coldstart") == "coldstart"
+    assert component_of("sandbox.provision") == "coldstart"
     assert component_of("quorum.write") == "quorum"
     assert component_of("net.transfer") == "transfer"
     assert component_of("brand.new.span") == "other"
@@ -52,7 +52,7 @@ def test_component_mapping_covers_unknowns():
 def test_vector_partitions_invoke_duration(rig):
     sim, tracer, att = rig
     _feed(sim, tracer, node="gpu-n0", cold=True,
-          comps=(("coldstart", 1.0), ("net.transfer", 0.25),
+          comps=(("sandbox.provision", 1.0), ("net.transfer", 0.25),
                  ("execute", 0.5)))
     vec = att.vector("f", "i")
     assert set(vec) == set(COMPONENTS)
@@ -112,7 +112,7 @@ def test_attributor_validates_parameters():
 def test_to_json_shape(rig):
     sim, tracer, att = rig
     _feed(sim, tracer, node="gpu-n0", cold=True,
-          comps=(("coldstart", 1.0), ("execute", 0.5)))
+          comps=(("sandbox.provision", 1.0), ("execute", 0.5)))
     doc = att.to_json()
     assert doc["observed_invokes"] == 1
     key = doc["keys"]["f/i@gpu"]

@@ -29,7 +29,7 @@ def _baseline(by_layer, **overrides):
 def test_layer_of_known_and_unknown_names():
     assert layer_of("net.transfer") == "network"
     assert layer_of("quorum.write") == "quorum"
-    assert layer_of("coldstart") == "coldstart"
+    assert layer_of("sandbox.provision") == "coldstart"
     assert layer_of("brand.new.span") == "other"
 
 

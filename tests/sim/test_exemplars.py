@@ -11,7 +11,7 @@ from repro.core.system import PCSICloud
 from repro.faas.platforms import CONTAINER
 from repro.sim.metrics import Histogram
 from repro.sim.metrics_registry import LabeledMetricsRegistry
-from repro.sim.trace import ProbabilisticSampler
+from repro.sim.trace import RETAIN_WINDOW, ProbabilisticSampler
 
 
 # -- reservoir mechanics -------------------------------------------------
@@ -164,3 +164,23 @@ def test_p99_bucket_traceable_to_concrete_span_tree():
     assert "invoke" in names and "execute" in names
     assert p99 >= _value or agg.bucket_index(p99) >= \
         agg.bucket_index(_value)
+
+
+def test_exemplars_outlive_the_trace_retention_window():
+    """The cold invoke's bucket is never refilled, so its exemplar keeps
+    linking the first tree long after the window has moved past it."""
+    cloud = _serve_cloud(requests=2 * RETAIN_WINDOW + 100)
+    cold = cloud.metrics.exemplars("invoke.latency", fn="echo", impl="cpu",
+                                   cold=True)
+    cold_ids = [trace_id for pairs in cold.values() for _v, trace_id in pairs]
+    assert len(cold_ids) == 1
+    exemplar_ids = [trace_id
+                    for buckets in cloud.metrics.all_exemplars().values()
+                    for bucket in buckets
+                    for _v, trace_id in bucket["exemplars"]]
+    assert cold_ids[0] in exemplar_ids
+    for trace_id in exemplar_ids:
+        root = cloud.tracer.get_span(trace_id)
+        assert root is not None and root.parent_id is None
+    # The window did trim: the run's roots outnumber what is kept.
+    assert len(cloud.tracer.roots()) < 2 * RETAIN_WINDOW + len(exemplar_ids)
