@@ -21,11 +21,12 @@ partition heals (POSIX/SSI-style location transparency).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from ..sim.deadline import DeadlineExceededError, check_deadline, \
     current_deadline
 from ..sim.engine import Event, Simulator
+from ..sim.metrics import Counter
 from ..sim.metrics_registry import LabeledMetricsRegistry
 from ..sim.resources import Store
 from ..sim.rng import RandomStream
@@ -174,6 +175,23 @@ class Network:
             self.tracer.bind(sim)
         self.metrics = metrics if metrics is not None \
             else LabeledMetricsRegistry()
+        # Traffic accounting kept here and written into the registry by
+        # _collect_metrics whenever the registry is read: bytes of
+        # completed transfers per purpose (remote, local), and the
+        # in-flight level with TimeWeightedGauge's state (last change,
+        # level-seconds up to it, peak).
+        self._bytes: Dict[str, float] = {}
+        self._local_bytes: Dict[str, float] = {}
+        self._inflight = 0.0
+        self._inflight_t = 0.0
+        self._inflight_area = 0.0
+        self._inflight_peak = 0.0
+        #: purpose -> registry child, resolved once per purpose.
+        self._bytes_children: Dict[str, Counter] = {}
+        self._local_bytes_children: Dict[str, Counter] = {}
+        self.metrics.add_collector(
+            ("network.bytes", "network.local_bytes", "network.inflight"),
+            self._collect_metrics)
         self._partitions: List[Partition] = []
         #: Per-node egress NICs: a sender occupies its link for the
         #: payload's wire time, so concurrent large transfers from one
@@ -272,8 +290,12 @@ class Network:
             span = self.tracer.span("net.local_copy", node=src,
                                     nbytes=nbytes, purpose=purpose)
         with span:
-            deadline = check_deadline(self.sim, f"transfer {src}->{dst}")
-            waited = yield from self._await_reachable(src, dst, fail_fast)
+            deadline = check_deadline(self.sim, "transfer %s->%s", src, dst)
+            if self.is_reachable(src, dst):
+                waited = 0.0
+            else:
+                waited = yield from self._await_reachable(src, dst,
+                                                          fail_fast)
             if self._loss_prob and src != dst and purpose != "message":
                 # Reliable transport over a lossy link: each loss costs one
                 # retransmission timeout before the payload gets through.
@@ -287,9 +309,17 @@ class Network:
                             f"transfer {src}->{dst}: deadline expired during "
                             f"retransmission", deadline)
                     yield self.sim.timeout(self._loss_rto)
+            # The in-flight level moves by TimeWeightedGauge.add's
+            # arithmetic, inline.
             start = self.sim.now
-            inflight = self.metrics.gauge("network.inflight")
-            inflight.add(1, start)
+            if start < self._inflight_t:
+                raise ValueError("time went backwards")
+            self._inflight_area += self._inflight * (start - self._inflight_t)
+            self._inflight_t = start
+            level = self._inflight + 1
+            self._inflight = level
+            if level > self._inflight_peak:
+                self._inflight_peak = level
             try:
                 if src != dst and nbytes > 0:
                     # Serialize onto the sender's NIC: the link is occupied
@@ -329,16 +359,16 @@ class Network:
                     yield self.sim.timeout(
                         self.one_way_delay(src, dst, nbytes))
             finally:
-                inflight.add(-1, self.sim.now)
+                now = self.sim.now
+                if now < self._inflight_t:
+                    raise ValueError("time went backwards")
+                self._inflight_area += self._inflight * (
+                    now - self._inflight_t)
+                self._inflight_t = now
+                self._inflight -= 1
             delay = self.sim.now - start
-            # Labeled children roll up into the bare-name aggregates, so
-            # readers of "network.bytes" see the total over all purposes.
-            if src != dst:
-                self.metrics.counter("network.bytes",
-                                     purpose=purpose).add(nbytes)
-            else:
-                self.metrics.counter("network.local_bytes",
-                                     purpose=purpose).add(nbytes)
+            tally = self._bytes if src != dst else self._local_bytes
+            tally[purpose] = tally.get(purpose, 0.0) + nbytes
             return delay + waited
 
     def round_trip(self, src: str, dst: str, request_nbytes: int,
@@ -388,6 +418,38 @@ class Network:
                        inherit_context=False)
 
     # -- internals ---------------------------------------------------------
+    def _collect_metrics(self) -> None:
+        """Write the traffic tallies into the registry (its collector).
+
+        ``network.inflight`` exists from the first transfer start (the
+        peak is 1 from then on); a purpose's ``network.bytes`` or
+        ``network.local_bytes`` child from its first completed
+        transfer. Each bare-name aggregate is the sum over purposes.
+        """
+        metrics = self.metrics
+        if self._inflight_peak:
+            metrics.gauge("network.inflight").load(
+                self._inflight, self._inflight_t, self._inflight_area,
+                self._inflight_peak)
+        for name, tally, children in (
+                ("network.bytes", self._bytes, self._bytes_children),
+                ("network.local_bytes", self._local_bytes,
+                 self._local_bytes_children)):
+            if not tally:
+                continue
+            # Purposes past the family's label cap share its overflow
+            # child, which holds their sum.
+            values: Dict[Counter, float] = {}
+            for purpose, nbytes in tally.items():
+                child = children.get(purpose)
+                if child is None:
+                    child = children[purpose] = metrics.counter(
+                        name, purpose=purpose)
+                values[child] = values.get(child, 0.0) + nbytes
+            for child, value in values.items():
+                child.value = value
+            metrics.counter(name).value = sum(tally.values())
+
     def _record_drop(self, src: str, dst: str, cause: str) -> None:
         """Account one dropped fire-and-forget message.
 

@@ -129,8 +129,8 @@ class FunctionContext:
         system, rather than running to completion for a caller that
         already gave up.
         """
-        check_deadline(self._kernel.sim,
-                       f"{self.invocation.fn_name} state op")
+        check_deadline(self._kernel.sim, "%s state op",
+                       self.invocation.fn_name)
         yield self._kernel.sim.timeout(self.executor.isolation_cost(1))
 
     def read(self, ref: Reference) -> Generator:

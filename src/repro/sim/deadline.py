@@ -22,7 +22,7 @@ builds without this module.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 #: Process-context key under which the current deadline is stored
 #: (mirrors ``trace.current_span``).
@@ -74,14 +74,19 @@ def current_deadline(sim) -> Optional[Deadline]:
     return proc.context.get(DEADLINE_CTX_KEY)
 
 
-def check_deadline(sim, what: str = "operation") -> Optional[Deadline]:
+def check_deadline(sim, what: str = "operation",
+                   *args: Any) -> Optional[Deadline]:
     """Raise :class:`DeadlineExceededError` if the budget is spent.
 
-    Returns the active deadline (or ``None``) so callers can bound an
-    upcoming wait without a second lookup.
+    The error message names ``what % args`` (``what`` alone without
+    ``args``), formatted only when it raises, so a checkpoint on a hot
+    path builds no string. Returns the active deadline (or ``None``) so
+    callers can bound an upcoming wait without a second lookup.
     """
     deadline = current_deadline(sim)
     if deadline is not None and deadline.expired(sim.now):
+        if args:
+            what = what % args
         raise DeadlineExceededError(
             f"{what}: deadline budget exhausted at t={sim.now:.6f}",
             deadline)

@@ -337,6 +337,17 @@ class TimeWeightedGauge:
         """Adjust the level by ``delta`` at time ``now``."""
         self.set(self._level + delta, now)
 
+    def load(self, level: float, last_time: float, area: float,
+             peak: float) -> None:
+        """Take over state tallied elsewhere with :meth:`set`'s
+        arithmetic: the level, when it last changed, the level-seconds
+        accumulated up to then, and the peak (a registry collector's
+        write)."""
+        self._level = level
+        self._last_time = last_time
+        self._area = area
+        self._max = peak
+
     def mean(self, now: float) -> float:
         """Time-weighted mean level over [start_time, now]."""
         if now < self._last_time:

@@ -28,14 +28,21 @@ interval process (:meth:`sampler_process`) for E-series runs.
 Exporters: :meth:`to_json` (one self-contained dict: counters, gauges,
 histogram summaries, series) and :meth:`to_line_protocol` (Influx-style
 lines) turn a run's telemetry into a build artifact.
+
+Collected families: a component whose hot path would otherwise update
+an instrument per operation keeps plain tallies of its own and
+registers a *collector* (:meth:`LabeledMetricsRegistry.add_collector`)
+that writes them into the registry's instruments. Collectors run before
+every read (the Prometheus collector pattern), so readers see current
+values while the hot path makes no registry call.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
-from typing import (Any, Dict, Generator, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import (Any, Callable, Dict, Generator, Iterable, Iterator,
+                    List, Optional, Set, Tuple)
 
 from .metrics import Counter, Histogram, TimeWeightedGauge
 from .sketch import QuantileSketch
@@ -170,6 +177,41 @@ class LabeledMetricsRegistry:
         #: counting ``dropped_label_sets`` per call — and nothing ever
         #: invalidates it because instruments are never removed.
         self._fast: Dict[tuple, Any] = {}
+        #: Read-side collectors (:meth:`add_collector`) and the family
+        #: names they fill.
+        self._collectors: Tuple[Callable[[], None], ...] = ()
+        self._collected: Set[str] = set()
+
+    # -- collectors --------------------------------------------------------
+    def add_collector(self, families: Iterable[str],
+                      collect: Callable[[], None]) -> None:
+        """Fill ``families`` from ``collect`` before every read.
+
+        ``collect()`` writes its owner's tallies into the registry's
+        instruments (creating a family the first time it has something
+        to report). It runs before :meth:`counters`, :meth:`gauges`,
+        :meth:`sample`, :meth:`window_level`, the exporters, and any
+        :meth:`counter`/:meth:`gauge` lookup of a collected family. A
+        family has one producer: claiming one twice raises.
+        """
+        families = set(families)
+        taken = families & self._collected
+        if taken:
+            raise ValueError(
+                f"families already collected: {sorted(taken)}")
+        self._collected |= families
+        self._collectors = (*self._collectors, collect)
+
+    def _collect(self) -> None:
+        """Run every collector (each read does, first)."""
+        collectors = self._collectors
+        # A collector's own lookups of its families must not re-enter.
+        self._collectors = ()
+        try:
+            for collect in collectors:
+                collect()
+        finally:
+            self._collectors = collectors
 
     # -- family plumbing -------------------------------------------------
     def _family(self, name: str, kind: str, factory) -> _Family:
@@ -238,6 +280,8 @@ class LabeledMetricsRegistry:
     # -- instruments ------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
         """Get or create a counter (the family aggregate if unlabeled)."""
+        if name in self._collected:
+            self._collect()
         return self._instrument("counter", name, labels)
 
     def set_histogram_backend(self, name: str, backend: str) -> None:
@@ -307,12 +351,15 @@ class LabeledMetricsRegistry:
         The aggregate of a labeled gauge family tracks the *sum* of its
         children's levels.
         """
+        if name in self._collected:
+            self._collect()
         return self._instrument("gauge", name, labels)
 
     # -- snapshots ---------------------------------------------------------
     def counters(self) -> Dict[str, float]:
         """All counter values: aggregates under bare names, children
         under ``name{label=value}`` keys."""
+        self._collect()
         out: Dict[str, float] = {}
         for name in sorted(self._families):
             family = self._families[name]
@@ -380,6 +427,7 @@ class LabeledMetricsRegistry:
 
     def gauges(self, now: float) -> Dict[str, Dict[str, float]]:
         """All gauge levels / time-weighted means / peaks as of ``now``."""
+        self._collect()
         out: Dict[str, Dict[str, float]] = {}
         for name in sorted(self._families):
             family = self._families[name]
@@ -398,6 +446,7 @@ class LabeledMetricsRegistry:
         """Snapshot every counter value and gauge level at sim time
         ``now`` (histograms are cumulative; they are exported once at
         the end instead of per sample)."""
+        self._collect()
         self._sample_times.append(now)
         for family in self._families.values():
             if family.kind == "histogram":
@@ -472,6 +521,8 @@ class LabeledMetricsRegistry:
     def window_level(self, name: str, **labels: Any) -> float:
         """Sum of current gauge levels across children matching the
         subset filter (the family aggregate with no labels)."""
+        if name in self._collected:
+            self._collect()
         family = self._families.get(name)
         if family is None or family.kind != "gauge":
             return 0.0
@@ -528,6 +579,7 @@ class LabeledMetricsRegistry:
         """Final values as Influx line protocol (one line per
         instrument; histogram summaries become multiple fields).
         Timestamps are integer nanoseconds of simulated time."""
+        self._collect()
         ts = int(now * 1e9)
         lines: List[str] = []
         for name in sorted(self._families):
