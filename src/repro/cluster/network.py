@@ -21,13 +21,13 @@ partition heals (POSIX/SSI-style location transparency).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import (Deque, Dict, Generator, Iterator, List, Optional, Set,
+                    Tuple)
 
 from ..sim.deadline import DeadlineExceededError, check_deadline, \
     current_deadline
 from ..sim.engine import Event, Simulator
-from ..sim.metrics import Counter
-from ..sim.metrics_registry import LabeledMetricsRegistry
+from ..sim.metrics_registry import LabeledMetricsRegistry, Tally
 from ..sim.resources import Store
 from ..sim.rng import RandomStream
 from ..sim.trace import NULL_TRACER, Tracer
@@ -175,7 +175,7 @@ class Network:
             self.tracer.bind(sim)
         self.metrics = metrics if metrics is not None \
             else LabeledMetricsRegistry()
-        # Traffic accounting kept here and written into the registry by
+        # Traffic accounting kept here and reported to the registry by
         # _collect_metrics whenever the registry is read: bytes of
         # completed transfers per purpose (remote, local), and the
         # in-flight level with TimeWeightedGauge's state (last change,
@@ -186,9 +186,6 @@ class Network:
         self._inflight_t = 0.0
         self._inflight_area = 0.0
         self._inflight_peak = 0.0
-        #: purpose -> registry child, resolved once per purpose.
-        self._bytes_children: Dict[str, Counter] = {}
-        self._local_bytes_children: Dict[str, Counter] = {}
         self.metrics.add_collector(
             ("network.bytes", "network.local_bytes", "network.inflight"),
             self._collect_metrics)
@@ -418,37 +415,22 @@ class Network:
                        inherit_context=False)
 
     # -- internals ---------------------------------------------------------
-    def _collect_metrics(self) -> None:
-        """Write the traffic tallies into the registry (its collector).
+    def _collect_metrics(self) -> Iterator[Tally]:
+        """Report the traffic tallies (the registry's collector).
 
-        ``network.inflight`` exists from the first transfer start (the
-        peak is 1 from then on); a purpose's ``network.bytes`` or
-        ``network.local_bytes`` child from its first completed
-        transfer. Each bare-name aggregate is the sum over purposes.
+        ``network.inflight`` is loaded from the first transfer start
+        (the peak is 1 from then on); a purpose's ``network.bytes`` or
+        ``network.local_bytes`` child exists from its first completed
+        transfer, even a 0-byte one.
         """
-        metrics = self.metrics
         if self._inflight_peak:
-            metrics.gauge("network.inflight").load(
+            self.metrics.gauge("network.inflight").load(
                 self._inflight, self._inflight_t, self._inflight_area,
                 self._inflight_peak)
-        for name, tally, children in (
-                ("network.bytes", self._bytes, self._bytes_children),
-                ("network.local_bytes", self._local_bytes,
-                 self._local_bytes_children)):
-            if not tally:
-                continue
-            # Purposes past the family's label cap share its overflow
-            # child, which holds their sum.
-            values: Dict[Counter, float] = {}
+        for name, tally in (("network.bytes", self._bytes),
+                            ("network.local_bytes", self._local_bytes)):
             for purpose, nbytes in tally.items():
-                child = children.get(purpose)
-                if child is None:
-                    child = children[purpose] = metrics.counter(
-                        name, purpose=purpose)
-                values[child] = values.get(child, 0.0) + nbytes
-            for child, value in values.items():
-                child.value = value
-            metrics.counter(name).value = sum(tally.values())
+                yield name, (("purpose", purpose),), nbytes
 
     def _record_drop(self, src: str, dst: str, cause: str) -> None:
         """Account one dropped fire-and-forget message.

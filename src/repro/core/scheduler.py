@@ -13,7 +13,7 @@ pay-per-use costs.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Iterator, Optional, Tuple
 
 from ..cluster.health import CircuitOpenError, InvokeOrphanedError
 from ..cluster.network import NetworkUnreachableError
@@ -26,6 +26,7 @@ from ..sim.deadline import (
     DeadlineScope,
     current_deadline,
 )
+from ..sim.metrics_registry import Tally
 from ..storage.replication import QuorumUnavailableError
 from .errors import InvocationError, ObjectTypeError
 from .functions import FunctionDef, FunctionImpl
@@ -62,6 +63,10 @@ class FunctionScheduler:
         self.control_node = kernel.topology.nodes[0].node_id
         self._pools: Dict[Tuple[str, str], WarmPool] = {}
         self.history: list = []
+        #: Attempts placed per (fn, impl): ``scheduler.placement``.
+        self.placements: Dict[Tuple[str, str], int] = {}
+        kernel.metrics.add_collector(("scheduler.placement",),
+                                     self._collect_metrics)
 
     # -- pools ------------------------------------------------------------
     def pool_for(self, fn_def: FunctionDef, impl: FunctionImpl) -> WarmPool:
@@ -511,8 +516,9 @@ class FunctionScheduler:
         else:
             impl = self.optimizer.choose(fn_def, self.pools_by_impl(fn_def))
         pool = self.pool_for(fn_def, impl)
-        kernel.metrics.counter("scheduler.placement", fn=fn_def.name,
-                               impl=impl.name).add(1)
+        placements = self.placements
+        key = (fn_def.name, impl.name)
+        placements[key] = placements.get(key, 0) + 1
 
         inv = Invocation(fn_name=fn_def.name, impl_name=impl.name,
                          args=dict(args), request=dict(request),
@@ -580,6 +586,11 @@ class FunctionScheduler:
         return inv
 
     # -- introspection -------------------------------------------------------------
+    def _collect_metrics(self) -> Iterator[Tally]:
+        """Report the placement tallies (the registry's collector)."""
+        for (fn, impl), count in self.placements.items():
+            yield "scheduler.placement", (("fn", fn), ("impl", impl)), count
+
     def last_invocation(self, fn_name: str) -> Invocation:
         """Most recent invocation of a function (placement hints)."""
         for inv in reversed(self.history):

@@ -10,19 +10,25 @@ property experiment E13 contrasts with provisioned fleets.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Generator, List, Optional
+from typing import Callable, Deque, Generator, Iterator, List, Optional
 
 from ..cluster.node import Node
 from ..cluster.resources import ResourceVector
 from ..sim.engine import Simulator
 from ..cluster.health import NO_HEALTH
 from ..sim.metrics import TimeWeightedGauge
-from ..sim.metrics_registry import LabeledMetricsRegistry
+from ..sim.metrics_registry import LabeledMetricsRegistry, Tally
 from ..sim.trace import NULL_TRACER, Tracer
 from .platforms import Executor, PlatformSpec
 
 #: Default idle window before a warm sandbox is reaped.
 DEFAULT_KEEP_ALIVE = 60.0
+
+#: The ``warmpool.*`` counter families a pool's tallies fill.
+POOL_FAMILIES = ("warmpool.acquire", "warmpool.queue_waits",
+                 "warmpool.prewarm", "warmpool.prewarm_skipped",
+                 "warmpool.prewarm_failed", "warmpool.reaped",
+                 "warmpool.shrunk")
 
 
 class PlacementFailedError(Exception):
@@ -60,10 +66,18 @@ class WarmPool:
         self._executors: List[Executor] = []
         self._waiters: Deque = deque()
         self._provisioning = 0
+        # Event tallies, reported to the registry's ``warmpool.*``
+        # counters by _collect_metrics. ``warm_hits`` counts warm and
+        # queued acquires; ``queued_hits`` the queued ones.
         self.cold_starts = 0
         self.warm_hits = 0
+        self.queued_hits = 0
         self.queue_waits = 0
         self.prewarmed = 0
+        self.prewarm_skipped = 0
+        self.prewarm_failed = 0
+        self.reaped = 0
+        self.shrunk = 0
         self.peak_size = 0
         #: Autoscale floor: when set, the keep-alive reaper will not
         #: shrink the pool below this many live executors — the
@@ -79,12 +93,31 @@ class WarmPool:
         self.health = NO_HEALTH
         self._live_gauge = TimeWeightedGauge(f"{name}.live",
                                              start_time=sim.now)
+        self.metrics.add_collector(POOL_FAMILIES, self._collect_metrics,
+                                   pool=name)
 
     # -- telemetry helpers -----------------------------------------------
-    def _count(self, event: str, **labels) -> None:
-        """One pool event in the ``warmpool.*`` family."""
-        self.metrics.counter(f"warmpool.{event}", pool=self.name,
-                             **labels).add(1)
+    def _collect_metrics(self) -> Iterator[Tally]:
+        """Report the event tallies (the registry's collector); a label
+        set appears once its count is non-zero."""
+        pool = ("pool", self.name)
+        for family, labels, count in (
+                ("warmpool.acquire", (("outcome", "warm"), pool),
+                 self.warm_hits - self.queued_hits),
+                ("warmpool.acquire", (("outcome", "queued"), pool),
+                 self.queued_hits),
+                ("warmpool.acquire", (("outcome", "cold"), pool),
+                 self.cold_starts),
+                ("warmpool.queue_waits", (pool,), self.queue_waits),
+                ("warmpool.prewarm",
+                 (("platform", self.platform.name), pool), self.prewarmed),
+                ("warmpool.prewarm_skipped", (pool,),
+                 self.prewarm_skipped),
+                ("warmpool.prewarm_failed", (pool,), self.prewarm_failed),
+                ("warmpool.reaped", (pool,), self.reaped),
+                ("warmpool.shrunk", (pool,), self.shrunk)):
+            if count:
+                yield family, labels, count
 
     def _track_size(self) -> None:
         """Reconcile the size gauge with reality.
@@ -169,7 +202,6 @@ class WarmPool:
                 executor = candidates[0]
                 executor.mark_busy()
                 self.warm_hits += 1
-                self._count("acquire", outcome="warm")
                 return executor
 
             capped = (self.max_executors is not None
@@ -192,7 +224,6 @@ class WarmPool:
                     self._executors.append(executor)
                     self.cold_starts += 1
                     self._track_size()
-                    self._count("acquire", outcome="cold")
                     return executor
 
             if self._provisioning == 0 and not self._executors:
@@ -207,7 +238,6 @@ class WarmPool:
             else:
                 self._waiters.append(waiter)
             self.queue_waits += 1
-            self._count("queue_waits")
             self._track_queue_depth()
             try:
                 with tracer.span("queue.wait", pool=self.name):
@@ -225,7 +255,7 @@ class WarmPool:
             if executor is not None and executor.live \
                     and executor.node.alive:
                 self.warm_hits += 1
-                self._count("acquire", outcome="queued")
+                self.queued_hits += 1
                 return executor
             # The reservation went stale (the node died between the
             # hand-off and our wake-up): return the sandbox to the
@@ -337,7 +367,7 @@ class WarmPool:
             return
         executor.shutdown()
         self._track_size()
-        self._count("reaped")
+        self.reaped += 1
 
     # -- controller actuation ----------------------------------------------
     def set_keep_alive(self, keep_alive: float) -> None:
@@ -358,11 +388,11 @@ class WarmPool:
         """
         if (self.max_executors is not None
                 and self.size + self._provisioning >= self.max_executors):
-            self._count("prewarm_skipped")
+            self.prewarm_skipped += 1
             return None
         node = self.placer(self.resources, self.platform, None)
         if node is None:
-            self._count("prewarm_failed")
+            self.prewarm_failed += 1
             return None
         executor = Executor(self.sim, node, self.platform, self.resources,
                             tracer=self.tracer, prewarmed=True)
@@ -379,7 +409,6 @@ class WarmPool:
         self._executors.append(executor)
         self.prewarmed += 1
         self._track_size()
-        self._count("prewarm", platform=self.platform.name)
         # Same reserved hand-off as release(): a starved waiter gets
         # the sandbox already claimed, else the reaper is armed.
         self._offer(executor)
@@ -397,8 +426,7 @@ class WarmPool:
             reaped += 1
         if reaped:
             self._track_size()
-            for _ in range(reaped):
-                self._count("shrunk")
+            self.shrunk += reaped
         return reaped
 
     def drain(self) -> None:

@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
+
+from ..sim.metrics_registry import Tally
 
 
 #: Tolerance for float drift in token accounting: a bucket refilled to
@@ -268,10 +270,16 @@ class AdmissionGateway:
         self._tenants: Dict[str, _TenantState] = {}
         self._wfq = WeightedFairQueue()
         self._busy = 0
-        # Totals (cheap aggregates the experiments read directly).
+        # Totals (cheap aggregates the experiments read directly), and
+        # the per-(event, tenant, cause) tallies behind the registry's
+        # ``gateway.{admitted,throttled,shed}`` counters.
         self.admitted = 0
         self.throttled = 0
         self.shed = 0
+        self._counts: Dict[Tuple[str, str, Optional[str]], int] = {}
+        kernel.metrics.add_collector(
+            ("gateway.admitted", "gateway.throttled", "gateway.shed"),
+            self._collect_metrics)
 
     # -- tenants ---------------------------------------------------------
     def register_tenant(self, tenant: str, rate: Optional[float] = None,
@@ -311,11 +319,17 @@ class AdmissionGateway:
     # -- telemetry -------------------------------------------------------
     def _count(self, event: str, tenant: str,
                cause: Optional[str] = None) -> None:
-        """One ``gateway.*`` decision counter, labeled by tenant."""
-        labels = {"tenant": tenant}
-        if cause is not None:
-            labels["cause"] = cause
-        self.kernel.metrics.counter(f"gateway.{event}", **labels).add(1)
+        """Tally one ``gateway.*`` decision, by tenant and cause."""
+        counts = self._counts
+        key = (event, tenant, cause)
+        counts[key] = counts.get(key, 0) + 1
+
+    def _collect_metrics(self) -> Iterator[Tally]:
+        """Report the decision tallies (the registry's collector)."""
+        for (event, tenant, cause), count in self._counts.items():
+            labels = (("tenant", tenant),) if cause is None \
+                else (("cause", cause), ("tenant", tenant))
+            yield f"gateway.{event}", labels, count
 
     def _track_queue_depth(self) -> None:
         self.kernel.metrics.gauge("gateway.queue_depth").set(

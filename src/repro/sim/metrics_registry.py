@@ -32,9 +32,11 @@ lines) turn a run's telemetry into a build artifact.
 Collected families: a component whose hot path would otherwise update
 an instrument per operation keeps plain tallies of its own and
 registers a *collector* (:meth:`LabeledMetricsRegistry.add_collector`)
-that writes them into the registry's instruments. Collectors run before
-every read (the Prometheus collector pattern), so readers see current
-values while the hot path makes no registry call.
+that reports them. Collectors run before every read (the Prometheus
+collector pattern): the registry zeroes each collected counter family
+and adds every reported tally back into its child, which forwards into
+the aggregate, so readers see current values while the hot path makes
+no registry call.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ OVERFLOW_LABEL = "__overflow__"
 DEFAULT_MAX_LABEL_SETS = 256
 
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: One tally a collector reports: ``(family, label items, value)``.
+Tally = Tuple[str, Tuple[Tuple[str, Any], ...], float]
 
 
 def label_key(labels: Dict[str, Any]) -> LabelKey:
@@ -177,39 +182,69 @@ class LabeledMetricsRegistry:
         #: counting ``dropped_label_sets`` per call — and nothing ever
         #: invalidates it because instruments are never removed.
         self._fast: Dict[tuple, Any] = {}
-        #: Read-side collectors (:meth:`add_collector`) and the family
-        #: names they fill.
-        self._collectors: Tuple[Callable[[], None], ...] = ()
+        #: Read-side collectors (:meth:`add_collector`), the family
+        #: names they fill, and the ``(family, owner key)`` claims.
+        self._collectors: Tuple[Callable[[], Iterable[Tally]], ...] = ()
         self._collected: Set[str] = set()
+        self._producers: Set[Tuple[str, LabelKey]] = set()
+        #: ``(family, label items)`` a collector reported -> its child,
+        #: resolved once (an overflowed label set counts one drop).
+        self._tally_children: Dict[tuple, Counter] = {}
 
     # -- collectors --------------------------------------------------------
     def add_collector(self, families: Iterable[str],
-                      collect: Callable[[], None]) -> None:
+                      collect: Callable[[], Iterable[Tally]],
+                      **owner: Any) -> None:
         """Fill ``families`` from ``collect`` before every read.
 
-        ``collect()`` writes its owner's tallies into the registry's
-        instruments (creating a family the first time it has something
-        to report). It runs before :meth:`counters`, :meth:`gauges`,
+        ``collect()`` returns its owner's counter tallies as
+        ``(family, label items, value)`` triples, one per label set that
+        has had an event (a value of 0 still creates its child). Each
+        read zeroes every collected counter family and adds the tallies
+        back in, so several owners can fill one family and their sum is
+        the aggregate. A collector may also load its gauges itself.
+        Collectors run before :meth:`counters`, :meth:`gauges`,
         :meth:`sample`, :meth:`window_level`, the exporters, and any
-        :meth:`counter`/:meth:`gauge` lookup of a collected family. A
-        family has one producer: claiming one twice raises.
+        :meth:`counter`/:meth:`gauge` lookup of a collected family.
+
+        ``owner`` labels name the producer (``pool="fn/impl"``): a
+        family has one producer per owner, so claiming one twice with
+        the same owner labels raises.
         """
-        families = set(families)
-        taken = families & self._collected
+        owner_key = label_key(owner)
+        claims = {(family, owner_key) for family in families}
+        taken = claims & self._producers
         if taken:
             raise ValueError(
-                f"families already collected: {sorted(taken)}")
-        self._collected |= families
+                f"families already collected for owner {owner_key}: "
+                f"{sorted(family for family, _ in taken)}")
+        self._producers |= claims
+        self._collected.update(family for family, _ in claims)
         self._collectors = (*self._collectors, collect)
 
     def _collect(self) -> None:
-        """Run every collector (each read does, first)."""
+        """Rebuild every collected counter family from its collectors'
+        tallies (each read does, first)."""
         collectors = self._collectors
         # A collector's own lookups of its families must not re-enter.
         self._collectors = ()
         try:
+            for name in self._collected:
+                family = self._families.get(name)
+                if family is not None and family.kind == "counter":
+                    family.aggregate.value = 0.0
+                    for child in family.children.values():
+                        child.value = 0.0
+            children = self._tally_children
             for collect in collectors:
-                collect()
+                for name, items, value in collect():
+                    child = children.get((name, items))
+                    if child is None:
+                        family = self._family(name, "counter",
+                                              LabeledCounter)
+                        child = children[(name, items)] = self._child(
+                            family, dict(items), LabeledCounter)
+                    child.add(value)
         finally:
             self._collectors = collectors
 
