@@ -34,6 +34,7 @@ leaves the simulation's event order byte-identical.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.sketch import QuantileSketch
@@ -81,13 +82,6 @@ def component_of(span_name: str) -> str:
     return COMPONENT_OF.get(span_name, "other")
 
 
-def _ema(old: Optional[float], new: float, alpha: float) -> float:
-    """One EMA step (seeded by the first observation)."""
-    if old is None:
-        return new
-    return (1.0 - alpha) * old + alpha * new
-
-
 class AttributionStats:
     """Running attribution state for one (fn, impl, node-class) key."""
 
@@ -113,20 +107,29 @@ class AttributionStats:
     def update(self, vector: Dict[str, float], cold: bool,
                alpha: float) -> None:
         """Fold one decomposed invocation into the running state."""
+        # Each EMA step is seeded by its first observation, then
+        # ``(1 - alpha) * old + alpha * new``.
         self.count += 1
+        keep = 1.0 - alpha
         total = sum(vector.values())
+        coldstart = vector.get("coldstart", 0.0)
+        ema = self.ema
         for comp in COMPONENTS:
-            self.ema[comp] = _ema(self.ema.get(comp),
-                                  vector.get(comp, 0.0), alpha)
-        warm = total - vector.get("coldstart", 0.0)
-        self.warm_ema = _ema(self.warm_ema, warm, alpha)
-        self.warm_sketch.insert(max(warm, 0.0))
-        self.total_ema = _ema(self.total_ema, total, alpha)
+            old = ema.get(comp)
+            new = vector.get(comp, 0.0)
+            ema[comp] = new if old is None else keep * old + alpha * new
+        warm = total - coldstart
+        old = self.warm_ema
+        self.warm_ema = warm if old is None else keep * old + alpha * warm
+        self.warm_sketch.insert(0.0 if warm < 0.0 else warm)
+        old = self.total_ema
+        self.total_ema = total if old is None \
+            else keep * old + alpha * total
         if cold:
             self.cold_count += 1
-            self.cold_overhead_ema = _ema(self.cold_overhead_ema,
-                                          vector.get("coldstart", 0.0),
-                                          alpha)
+            old = self.cold_overhead_ema
+            self.cold_overhead_ema = coldstart if old is None \
+                else keep * old + alpha * coldstart
 
     def to_json(self) -> Dict[str, Any]:
         """JSON-shaped snapshot of this key's state."""
@@ -145,6 +148,27 @@ class AttributionStats:
                 "q99": self.warm_sketch.percentile(99),
             }
         return doc
+
+
+class _KeyedStats(dict):
+    """The attributor's per-key state, with its keys kept in sorted order.
+
+    Keys are only ever added, so each is placed once, when it is first
+    inserted; queries then walk :attr:`ordered` instead of sorting the
+    whole dict every time.
+    """
+
+    __slots__ = ("ordered",)
+
+    def __init__(self):
+        super().__init__()
+        self.ordered: List[Tuple[str, str, str]] = []
+
+    def __setitem__(self, key: Tuple[str, str, str],
+                    value: AttributionStats) -> None:
+        if key not in self:
+            insort(self.ordered, key)
+        dict.__setitem__(self, key, value)
 
 
 class LatencyAttributor:
@@ -169,7 +193,7 @@ class LatencyAttributor:
         self.alpha = alpha
         self.min_samples = min_samples
         self.node_class_fn = node_class_fn or (lambda node_id: "all")
-        self._stats: Dict[Tuple[str, str, str], AttributionStats] = {}
+        self._stats = _KeyedStats()
         #: Invocations folded in (across all keys).
         self.observed_invokes = 0
         tracer.add_root_listener(self.observe_root)
@@ -181,9 +205,18 @@ class LatencyAttributor:
         Called by the tracer once per retained tree; also callable
         directly (e.g. replaying a recorded tracer offline).
         """
-        for span in self.tracer.walk(root):
-            if span.name == "invoke" and span.finished:
+        # Depth-first in start order, as Tracer.walk visits: the fold
+        # order decides the EMAs.
+        stack = [root]
+        pop = stack.pop
+        push = stack.extend
+        while stack:
+            span = pop()
+            if span.name == "invoke" and span.end is not None:
                 self.observe_invoke(span)
+            kids = span._kids
+            if kids is not None:
+                push(reversed(kids))
 
     def observe_invoke(self, span: Span) -> None:
         """Decompose one finished invoke span and update its key."""
@@ -213,15 +246,17 @@ class LatencyAttributor:
         contribution by contribution, bit for bit.
         """
         vector = dict.fromkeys(COMPONENTS, 0.0)
+        component = COMPONENT_OF.get
         for seg_span, lo, hi in path_segments(self.tracer, span):
-            vector[component_of(seg_span.name)] += hi - lo
+            vector[component(seg_span.name, "other")] += hi - lo
         return vector
 
     # -- queries ----------------------------------------------------------
     def _matching(self, fn: Optional[str], impl: Optional[str],
                   node_class: Optional[str]
                   ) -> List[Tuple[Tuple[str, str, str], AttributionStats]]:
-        return [(key, st) for key, st in sorted(self._stats.items())
+        stats = self._stats
+        return [(key, stats[key]) for key in stats.ordered
                 if (fn is None or key[0] == fn)
                 and (impl is None or key[1] == impl)
                 and (node_class is None or key[2] == node_class)]
@@ -306,7 +341,7 @@ class LatencyAttributor:
 
     def keys(self) -> List[Tuple[str, str, str]]:
         """All observed (fn, impl, node_class) keys (sorted)."""
-        return sorted(self._stats)
+        return list(self._stats.ordered)
 
     # -- export -----------------------------------------------------------
     def to_json(self) -> Dict[str, Any]:

@@ -21,6 +21,7 @@ charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.trace import Span, Tracer
@@ -110,33 +111,55 @@ def path_segments(tracer: Tracer,
     invocation.
     """
     segments: List[Tuple[Span, float, float]] = []
-    _walk(tracer, root, root.start, root.end, segments)
+    _walk(root, root.start, root.end, segments)
     segments.reverse()  # chronological order
     return segments
 
 
-def _walk(tracer: Tracer, span: Span, lo: float, hi: float,
+#: Sort key of the walk: a C-level getter, so a sort makes no Python
+#: call per child.
+_end = attrgetter("end")
+
+
+def _walk(span: Span, lo: float, hi: float,
           segments: List[Tuple[Span, float, float]]) -> None:
     """Attribute the window [lo, hi] to ``span`` and its descendants.
 
     Appends ``(span, start, end)`` segments in reverse-chronological
-    order (the caller flips them once at the end).
+    order (the caller flips them once at the end). Reads the span's
+    child list in place: a leaf returns at once, a single child is
+    walked without a copy, and only two or more finished children are
+    sorted by end (stably, so children that tie on end keep their
+    start order).
     """
+    kids = span._kids
+    if kids is None:
+        if hi > lo:
+            segments.append((span, lo, hi))
+        return
+    if len(kids) == 1:
+        children = kids if kids[0].end is not None else ()
+    else:
+        children = [c for c in kids if c.end is not None]
+        if len(children) > 1:
+            children.sort(key=_end, reverse=True)
     cursor = hi
-    children = [c for c in tracer.children(span) if c.finished]
-    children.sort(key=lambda c: c.end, reverse=True)
     for child in children:
         if cursor <= lo:
             break
-        c_end = min(child.end, cursor)
-        c_start = max(child.start, lo)
+        c_end = child.end
+        if cursor < c_end:
+            c_end = cursor
+        c_start = child.start
+        if lo > c_start:
+            c_start = lo
         if c_end <= c_start:
             continue
         if c_end < cursor:
             # Uncovered tail between this child and the last charged
             # work: the parent's own time.
             segments.append((span, c_end, cursor))
-        _walk(tracer, child, c_start, c_end, segments)
+        _walk(child, c_start, c_end, segments)
         cursor = c_start
     if cursor > lo:
         segments.append((span, lo, cursor))

@@ -123,6 +123,7 @@ class PCSICloud:
             gpu_nodes_per_rack=gpu_nodes_per_rack)
         self.network = Network(self.sim, self.topology, profile,
                                tracer=self.tracer, metrics=self.metrics)
+        self._node_classes: Dict[str, str] = {}
         self.profile = profile
         self.meter = CostMeter(prices)
 
@@ -226,13 +227,17 @@ class PCSICloud:
 
         Named after the scarcest device on board ("npu" > "gpu" >
         "cpu"): attribution cares about which *kind* of machine served
-        an invocation, not which individual box.
+        an invocation, not which individual box. A node's capacity is
+        set only when it is built, so its class is resolved once and
+        kept (the attributor and the health plane ask per invoke).
         """
-        node = self.topology.node(node_id)
-        for kind in ("npu", "gpu"):
-            if node.has_device(kind):
-                return kind
-        return "cpu"
+        kind = self._node_classes.get(node_id)
+        if kind is None:
+            node = self.topology.node(node_id)
+            kind = "npu" if node.has_device("npu") \
+                else "gpu" if node.has_device("gpu") else "cpu"
+            self._node_classes[node_id] = kind
+        return kind
 
     def _pick_data_replicas(self, count: int) -> List[str]:
         """Spread data-layer replicas across racks, avoiding GPU nodes."""

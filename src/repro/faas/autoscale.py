@@ -79,10 +79,7 @@ class WarmPool:
         self.reaped = 0
         self.shrunk = 0
         self.peak_size = 0
-        #: Autoscale floor: when set, the keep-alive reaper will not
-        #: shrink the pool below this many live executors — the
-        #: controller owns downscaling through :meth:`shrink`.
-        self.target_warm: Optional[int] = None
+        self._target_warm: Optional[int] = None
         #: The :class:`~repro.faas.controller.AutoscaleController`
         #: watching this pool (if any); acquires poke it awake.
         self.controller = None
@@ -151,6 +148,34 @@ class WarmPool:
     def provisioning(self) -> int:
         """Cold starts in flight right now."""
         return self._provisioning
+
+    @property
+    def target_warm(self) -> Optional[int]:
+        """Autoscale floor: when set, the keep-alive reaper will not
+        shrink the pool below this many live executors.
+
+        Lowering (or lifting) the floor re-arms, at once, the reaper of
+        every idle executor whose reap it vetoed: each re-checks the
+        new floor, so the pool decays to it without further releases.
+        """
+        return self._target_warm
+
+    @target_warm.setter
+    def target_warm(self, floor: Optional[int]) -> None:
+        old = self._target_warm
+        self._target_warm = floor
+        if old is None or (floor is not None and floor >= old):
+            return
+        now = self.sim.now
+        for executor in self._executors:
+            # Idle with no reaper armed: its reap was vetoed (any other
+            # idle executor was re-armed by its release).
+            if executor.reaper_wake is None and executor.live \
+                    and not executor.busy:
+                executor.reaper_wake = now
+                self.sim.spawn(self._reap_after_idle(executor, now),
+                               name=f"reap:{self.name}",
+                               inherit_context=False)
 
     @property
     def busy_count(self) -> int:
@@ -348,8 +373,7 @@ class WarmPool:
         exactly the last release plus its keep-alive. One that finds
         the executor busy or gone disarms; the next release re-arms. A
         :attr:`target_warm` floor set by the autoscale controller vetoes
-        the reap — the controller then owns downscaling through
-        :meth:`shrink`.
+        the reap and disarms; lowering the floor re-arms it.
         """
         while True:
             yield self.sim.timeout_at(wake)

@@ -460,7 +460,8 @@ class AutoscaleController:
             elif target == 0 and have > 0:
                 # The controller only ever *reaps* to zero (idle
                 # expiry). Decay above the floor stays the keep-alive
-                # reaper's job: actively shrinking a pool that still
+                # reaper's job (lowering ``target_warm`` re-arms the
+                # reapers it vetoed): actively shrinking a pool that still
                 # sees traffic would destroy warmth the retention
                 # window was bought to keep, and re-cold-start the
                 # very next overlap.

@@ -399,8 +399,10 @@ class AdmissionGateway:
                 raise ShedError(
                     tenant, "circuit_open",
                     f"all circuit breakers for {fn_name!r} are open")
-            estimate = self.estimated_service_time(fn_name)
-            if deadline is not None and estimate is not None \
+            # Only a deadline is checked against the estimate.
+            estimate = None if deadline is None \
+                else self.estimated_service_time(fn_name)
+            if estimate is not None \
                     and deadline < self.config.estimate_margin * estimate:
                 self._shed(tenant, "deadline", span)
                 raise ShedError(

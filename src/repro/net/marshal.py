@@ -24,25 +24,42 @@ def estimate_size(obj: Any) -> int:
     Containers pay a small per-element overhead; scalars pay typical
     binary sizes. ``bytes`` payloads are exact.
     """
+    # Exact-type checks first: strings, numbers and dicts are what
+    # every invoke carries. Every other type (None, bool, subclasses,
+    # bytes, sequences, sized payloads, capability references) takes
+    # the isinstance ladder in _estimate_other.
+    kind = type(obj)
+    if kind is str:
+        return len(obj) if obj.isascii() else len(obj.encode("utf-8"))
+    if kind is int or kind is float:
+        return 8
+    if kind is not dict and not isinstance(obj, dict):
+        return _estimate_other(obj)
+    size = 8
+    for key, value in obj.items():
+        size += estimate_size(key) + estimate_size(value) + 4
+    return size
+
+
+def _estimate_other(obj: Any) -> int:
+    """:func:`estimate_size` of anything but a str, int, float or dict
+    of exactly that type (dict subclasses excepted: the caller sizes
+    them)."""
     if obj is None:
         return 1
     if isinstance(obj, bool):
         return 1
-    if isinstance(obj, int):
+    if isinstance(obj, (int, float)):
         return 8
-    if isinstance(obj, float):
-        return 8
-    if isinstance(obj, bytes):
-        return len(obj)
-    if isinstance(obj, bytearray):
+    if isinstance(obj, (bytes, bytearray)):
         return len(obj)
     if isinstance(obj, str):
         return len(obj.encode("utf-8"))
     if isinstance(obj, (list, tuple, set, frozenset)):
-        return 8 + sum(estimate_size(item) + 2 for item in obj)
-    if isinstance(obj, dict):
-        return 8 + sum(estimate_size(k) + estimate_size(v) + 4
-                       for k, v in obj.items())
+        size = 8
+        for item in obj:
+            size += estimate_size(item) + 2
+        return size
     # Capability references travel as fixed-size opaque tokens.
     if hasattr(obj, "cap_id") and hasattr(obj, "rights"):
         return 64

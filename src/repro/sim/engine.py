@@ -593,22 +593,16 @@ class Simulator:
         self._now = when
         self._dispatch(event)
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the schedule drains or virtual time reaches ``until``.
+    def _drain(self, horizon: Optional[float],
+               stop: Optional[Event]) -> None:
+        """Process events until the schedule drains, the next event lies
+        beyond ``horizon``, or ``stop`` has been processed.
 
-        The boundary is **inclusive**: an event scheduled exactly at
-        ``until`` is processed before the run stops (only events
-        strictly after ``until`` are left pending). This is pinned by
-        ``tests/sim/test_engine.py`` and must survive any change to the
-        schedule's layout.
-
-        This is the hot loop: it drains events inline (one pop +
-        dispatch per event) rather than paying a :meth:`step` call per
-        event. ``step`` stays the single-event entry point
-        for external steppers.
+        The one hot loop behind :meth:`run` and :meth:`run_until_event`:
+        it drains events inline (one pop + dispatch per event) rather
+        than paying a :meth:`step` call per event. ``step`` stays the
+        single-event entry point for external steppers.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
         timeout_pool = self._timeout_pool
         kick_pool = self._kick_pool
         immediate = self._immediate
@@ -616,15 +610,14 @@ class Simulator:
         while self._pending:
             if immediate:
                 # Immediates carry the current instant, so they can
-                # never overshoot ``until``; only the heap can hold an
+                # never overshoot ``horizon``; only the heap can hold an
                 # earlier key (e.g. a priority-0 interrupt).
                 if heap and heap[0] < immediate[0]:
                     when, _prio, _seq, event = heappop(heap)
                 else:
                     when, _prio, _seq, event = immediate.popleft()
             else:
-                if until is not None and heap[0][0] > until:
-                    self._now = until
+                if horizon is not None and heap[0][0] > horizon:
                     return
                 when, _prio, _seq, event = heappop(heap)
             if when < self._now:
@@ -655,6 +648,21 @@ class Simulator:
                 if isinstance(exc, BaseException) \
                         and not isinstance(exc, Interrupt):
                     raise exc
+            if event is stop:
+                return
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the schedule drains or virtual time reaches ``until``.
+
+        The boundary is **inclusive**: an event scheduled exactly at
+        ``until`` is processed before the run stops (only events
+        strictly after ``until`` are left pending). This is pinned by
+        ``tests/sim/test_engine.py`` and must survive any change to the
+        schedule's layout.
+        """
+        if until is not None and until < self._now:
+            raise ValueError(f"until={until} is in the past (now={self._now})")
+        self._drain(until, None)
         if until is not None:
             self._now = until
 
@@ -665,12 +673,18 @@ class Simulator:
         :class:`SimulationError` if the schedule drains (or ``limit``
         virtual seconds pass) without the event firing.
         """
-        while not event.processed:
-            if not self._pending:
-                raise SimulationError(f"schedule drained before {event!r} fired")
-            if limit is not None and self.peek() > limit:
+        if event._state != PROCESSED:
+            if self._pending and limit is not None and self.peek() > limit:
                 raise SimulationError(f"{event!r} did not fire before t={limit}")
-            self.step()
+            # After that check no immediate entry can lie beyond
+            # ``limit`` (they carry the current instant), so the drain
+            # stops at the first heap entry that does.
+            self._drain(limit, event)
+            if event._state != PROCESSED:
+                if not self._pending:
+                    raise SimulationError(
+                        f"schedule drained before {event!r} fired")
+                raise SimulationError(f"{event!r} did not fire before t={limit}")
         if not event.ok:
             raise event.value
         return event.value

@@ -34,21 +34,21 @@ SEED = 1
 PART = 0
 
 #: Ceiling on calls per request, by Python (major, minor) and workload:
-#: the counts measured (rounded up) when the warm pools, the scheduler
-#: and the gateway began tallying their own counts. Each was the same
-#: under ``PYTHONHASHSEED`` 0 and 1 (overload-open's in three fresh
-#: runs under each).
-_OLDER = {"invoke-warm": 203.01, "invoke-planes": 392.63,
-          "pipeline-storage": 2627.10, "overload-open": 256.16}
+#: the counts measured (rounded up) when the attributor began folding
+#: each invoke in one pass and both run loops of the engine began
+#: sharing one drain loop. Each was the same under ``PYTHONHASHSEED``
+#: 0 and 1 (overload-open's in three fresh runs under each).
+_OLDER = {"invoke-warm": 185.01, "invoke-planes": 312.57,
+          "pipeline-storage": 2329.05, "overload-open": 228.35}
 CEILINGS = {
     (3, 9): _OLDER,
     (3, 10): _OLDER,
-    (3, 11): {"invoke-warm": 201.01, "invoke-planes": 385.85,
-              "pipeline-storage": 2539.13, "overload-open": 246.10},
-    (3, 12): {"invoke-warm": 201.01, "invoke-planes": 385.85,
-              "pipeline-storage": 2539.13, "overload-open": 246.11},
-    (3, 13): {"invoke-warm": 201.01, "invoke-planes": 384.85,
-              "pipeline-storage": 2539.13, "overload-open": 246.11},
+    (3, 11): {"invoke-warm": 183.01, "invoke-planes": 305.79,
+              "pipeline-storage": 2241.08, "overload-open": 218.30},
+    (3, 12): {"invoke-warm": 183.01, "invoke-planes": 305.79,
+              "pipeline-storage": 2241.08, "overload-open": 218.30},
+    (3, 13): {"invoke-warm": 183.01, "invoke-planes": 304.79,
+              "pipeline-storage": 2241.08, "overload-open": 218.31},
 }
 
 #: Comprehension frames, which Python 3.12 inlines into their caller.

@@ -88,3 +88,64 @@ def test_subclass_and_capability_sizes():
     assert estimate_size(_Level.HIGH) == 8
     assert estimate_size(OrderedDict(a=True)) == 8 + 1 + 1 + 4
     assert estimate_size(_CAPS.mint("x")) == 64
+
+
+# -- the size of every payload kind, pinned ------------------------------
+class _Real(float):
+    pass
+
+
+class _Declared:
+    """Describes its own size, like SizedPayload."""
+
+    nbytes = 77
+
+
+@pytest.mark.parametrize("obj, size", [
+    (None, 1),
+    (True, 1),
+    (False, 1),
+    (0, 8),
+    (-5, 8),
+    (2 ** 70, 8),
+    (_Level.HIGH, 8),
+    (3.5, 8),
+    (_Real(1.5), 8),
+    (b"", 0),
+    (b"abc", 3),
+    (bytearray(b"abcd"), 4),
+    ("", 0),
+    ("abc", 3),
+    ("héllo", 6),
+    ("日本", 6),
+    ("\U0001F600", 4),
+    (_Tag("ab"), 4),
+    ([], 8),
+    ([1, "a"], 8 + (8 + 2) + (1 + 2)),
+    ((None,), 8 + 1 + 2),
+    ({1, 2}, 8 + 2 * (8 + 2)),
+    (frozenset({"xy"}), 8 + 2 + 2),
+    ({}, 8),
+    ({"k": "v"}, 8 + 1 + 1 + 4),
+    ({"é": "日本"}, 8 + 2 + 6 + 4),
+    ({"a": {"b": [1.0, None]}},
+     8 + 1 + (8 + 1 + (8 + (8 + 2) + (1 + 2)) + 4) + 4),
+    ([{"n": 1}, ("t", b"xy")], 8 + (8 + 1 + 8 + 4 + 2)
+     + (8 + (1 + 2) + (2 + 2) + 2)),
+    (OrderedDict(a=True), 8 + 1 + 1 + 4),
+    (SizedPayload(1024), 1024),
+    (_Declared(), 77),
+    (_CAPS.mint("y"), 64),
+], ids=repr)
+def test_estimate_size_table(obj, size):
+    assert estimate_size(obj) == size
+
+
+def test_non_int_declared_size_is_rejected():
+    class Vague:
+        nbytes = 1.5
+
+    with pytest.raises(TypeError):
+        estimate_size(Vague())
+    with pytest.raises(TypeError):
+        estimate_size({"k": [object()]})
